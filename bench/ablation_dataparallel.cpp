@@ -16,7 +16,7 @@ using namespace udsim;
 
 void run_pcset(benchmark::State& state, const std::string& name, bool packed) {
   const Netlist nl = make_iscas85_like(name);
-  const PCSetCompiled c = compile_pcset(nl, {}, packed);
+  const PCSetCompiled c = compile_pcset(nl);
   KernelRunner<std::uint32_t> runner(c.program);
   const std::size_t pis = nl.primary_inputs().size();
   constexpr std::size_t kBatches = 64;

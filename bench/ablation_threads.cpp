@@ -92,8 +92,6 @@ int main(int argc, char** argv) {
     }
     // Inputs prepared outside the timed region, as everywhere in bench/.
     const Workload w(nl.primary_inputs().size(), args.vectors, args.seed + 100);
-    std::vector<std::uint64_t> in(w.bits.size());
-    for (std::size_t i = 0; i < in.size(); ++i) in[i] = w.bits[i];
 
     CircuitResult cr{name, nl.real_gate_count(), {}};
     std::vector<Bit> reference;
@@ -101,7 +99,7 @@ int main(int argc, char** argv) {
     for (unsigned t : thread_list) {
       BatchRunner batch(compiled.program, probes,
                         BatchOptions{.num_threads = t});
-      const std::vector<Bit> out = batch.run(in, w.vectors);  // warm + verify
+      const std::vector<Bit> out = batch.run(w.bits, w.vectors);  // warm + verify
       if (reference.empty()) {
         reference = out;
       } else if (out != reference) {
@@ -111,7 +109,7 @@ int main(int argc, char** argv) {
         return 1;
       }
       const double secs = median_seconds(
-          [&] { (void)batch.run(in, w.vectors); }, args.trials);
+          [&] { (void)batch.run(w.bits, w.vectors); }, args.trials);
       if (cr.points.empty()) base_seconds = secs;
       const double speedup = secs > 0 ? base_seconds / secs : 0;
       cr.points.push_back({t, us_per_vec(secs, w.vectors), speedup});

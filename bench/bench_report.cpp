@@ -7,7 +7,6 @@
 //
 //   bench_report [--vectors N] [--trials T] [--seed S] [--circuits a,b]
 //                [--threads N] [--out PATH] [--no-native]
-//                [--widths 32,64,256 | --no-packed]
 //                [--check BASELINE.json] [--max-regression-pct P]
 //                [--no-throughput-check] [--inject-drift]
 //
@@ -23,12 +22,11 @@
 // compiler; --no-native skips it explicitly. Extra rows never trip --check:
 // the baseline's rows are what is compared.
 //
-// Width rows: per circuit, the packed LCC data-parallel runner is measured
-// once per available lane width (lcc-packed rows, one vector per word bit —
-// DESIGN.md §5j), the row set where the 128/256-bit executors show their
-// throughput win over 64-bit. --widths restricts the list; --no-packed
-// skips the rows. Widths this build/CPU cannot run are skipped, and --check
-// reports the coverage loss when the baseline had them.
+// Width rows: per circuit, zero-delay LCC is also measured at every other
+// available lane width. run_batch packs one vector per word bit into each
+// LCC pass (DESIGN.md §5c), so these rows show the 128/256-bit executors'
+// throughput win over 64-bit. Widths this build/CPU cannot run are skipped,
+// and --check reports the coverage loss when the baseline had them.
 //
 // Circuits accept ISCAS-85 profile names and .bench files (data/c17.bench
 // loads as "c17").
@@ -93,25 +91,10 @@ int main(int argc, char** argv) {
       inject_drift = true;
     } else if (arg == "--no-native") {
       cfg.with_native = false;
-    } else if (arg == "--no-packed") {
-      cfg.with_packed = false;
-    } else if (arg == "--widths") {
-      std::string list = next();
-      std::size_t pos = 0;
-      while (pos != std::string::npos) {
-        const std::size_t comma = list.find(',', pos);
-        cfg.packed_widths.push_back(
-            std::atoi(list.substr(pos, comma == std::string::npos
-                                           ? comma
-                                           : comma - pos)
-                          .c_str()));
-        pos = comma == std::string::npos ? comma : comma + 1;
-      }
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "bench_report [--vectors N] [--trials T] [--seed S] "
           "[--circuits a,b] [--threads N] [--out PATH] [--no-native] "
-          "[--widths 32,64,256] [--no-packed] "
           "[--check BASELINE] [--max-regression-pct P] "
           "[--no-throughput-check] [--inject-drift]\n");
       return 0;
@@ -174,19 +157,19 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The width ladder: packed-LCC throughput per lane width, per circuit —
+  // The width ladder: LCC throughput per lane width, per circuit —
   // vectors/pass scales with word_bits, so the wide rows should win.
   for (const BenchCircuitResult& c : report.circuits) {
     std::string line;
     char buf[64];
     for (const BenchEngineResult& e : c.engines) {
-      if (e.engine != "lcc-packed") continue;
+      if (e.engine != "zero-delay-lcc" || e.threads != 1) continue;
       std::snprintf(buf, sizeof buf, "  w%-3d %.0f vec/s", e.word_bits,
                     e.vectors_per_sec);
       line += buf;
     }
     if (!line.empty()) {
-      std::printf("  %-8s packed:%s\n", c.circuit.c_str(), line.c_str());
+      std::printf("  %-8s lcc:%s\n", c.circuit.c_str(), line.c_str());
     }
   }
 

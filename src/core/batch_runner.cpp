@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/width_dispatch.h"
+#include "ir/wide_word.h"
 #include "netlist/diagnostics.h"
 #include "obs/request_trace.h"
 
@@ -66,23 +67,28 @@ BatchRunner::BatchRunner(const Program& program, std::vector<ArenaProbe> probes,
     }
   }
   if (options_.min_chunk == 0) options_.min_chunk = 1;
+  if (lane_parallel(program_, probes_)) {
+    lanes_ = static_cast<unsigned>(program_.word_bits);
+  }
   exec_ = ExecCounters::attach(options_.metrics, program_, options_.extra_pass_cost);
 }
 
 std::size_t BatchRunner::shard_count(std::size_t num_vectors) const noexcept {
   if (num_vectors == 0) return 0;
-  const std::size_t by_threads = pool_.threads();
+  const std::size_t groups = (num_vectors + lanes_ - 1) / lanes_;
   const std::size_t by_chunk =
       (num_vectors + options_.min_chunk - 1) / options_.min_chunk;
-  return std::max<std::size_t>(1, std::min(by_threads, by_chunk));
+  return std::max<std::size_t>(
+      1, std::min({std::size_t{pool_.threads()}, groups, by_chunk}));
 }
 
 template <class Word>
-void BatchRunner::run_shard(std::span<const std::uint64_t> inputs,
+void BatchRunner::run_shard(std::span<const Bit> inputs,
                             std::size_t shard_index, ShardSlot& slot,
                             std::span<Bit> out, unsigned attempt) {
   if (slot.next >= slot.end) return;  // resumed already-finished shard
   const std::size_t iw = program_.input_words;
+  const std::size_t lanes = lanes_;
   MetricsRegistry* const reg = options_.metrics;
   FaultInjector* const inj = options_.inject;
   const std::uint64_t t0 = reg ? shard_now_ns() : 0;
@@ -105,32 +111,61 @@ void BatchRunner::run_shard(std::span<const std::uint64_t> inputs,
   }
   KernelRunner<Word> runner(program_);
   std::vector<Word> row(iw);
-  const auto load = [&](std::size_t v) {
-    const std::uint64_t* src = inputs.data() + v * iw;
-    for (std::size_t i = 0; i < iw; ++i) row[i] = static_cast<Word>(src[i]);
+  constexpr std::size_t kU64 = kWordU64Lanes<Word>;
+  std::vector<std::uint64_t> packed(lanes > 1 ? iw * kU64 : 0);
+  // Input row for vectors [v, v + n): one vector's bits when scalar, else
+  // vector v + l's bit in lane l of every input word (a transpose).
+  const auto load = [&](std::size_t v, std::size_t n) {
+    const Bit* src = inputs.data() + v * iw;
+    if (lanes == 1) {
+      for (std::size_t i = 0; i < iw; ++i) row[i] = static_cast<Word>(src[i] & 1u);
+      return;
+    }
+    std::fill(packed.begin(), packed.end(), 0);
+    for (std::size_t l = 0; l < n; ++l, src += iw) {
+      for (std::size_t i = 0; i < iw; ++i) {
+        packed[i * kU64 + l / 64] |= std::uint64_t{src[i] & 1u} << (l % 64);
+      }
+    }
+    for (std::size_t i = 0; i < iw; ++i) {
+      row[i] = word_from_u64_lanes<Word>(&packed[i * kU64]);
+    }
+  };
+  const std::size_t cols = probes_.size();
+  // Output rows of vectors [v, v + n): lane l is vector v + l (probes of a
+  // lane-parallel program all read bit 0).
+  const auto store = [&](std::size_t v, std::size_t n) {
+    for (std::size_t l = 0; l < n; ++l) {
+      Bit* dst = out.data() + (v + l) * cols;
+      for (std::size_t j = 0; j < cols; ++j) {
+        dst[j] = runner.bit(probes_[j].word,
+                            probes_[j].bit + static_cast<unsigned>(l));
+      }
+    }
   };
   bool seam = false;
   if (start > slot.begin) {
     // Resume: the checkpointed arena IS the retained state after vector
     // start-1; restoring it replaces the seam replay.
     runner.load_arena(slot.arena);
-  } else if (slot.begin > 0) {
+  } else if (slot.begin > 0 && lanes == 1) {
     // Seam replay: the predecessor shard's final vector re-establishes the
     // retained state (previous-vector settled values); outputs discarded.
-    load(slot.begin - 1);
+    // Lane-parallel programs need none: no probe reads retained state.
+    load(slot.begin - 1, 1);
     runner.run(row);
     seam = true;
   }
 
-  const std::size_t cols = probes_.size();
   CancelPoll poll(options_.cancel);
   std::size_t v = start;
+  std::uint64_t passes = 0;
   StopReason stop = StopReason::None;
   // Shared exit accounting so the fault-throwing paths count their executed
   // passes exactly like the clean path does.
   const auto account = [&] {
     if (!reg) return;
-    exec_.on_passes(v - start);  // payload counters: thread-count invariant
+    exec_.on_passes(passes, v - start);  // payload: thread-count invariant
     if (seam) {
       reg->counter("batch.seam_vectors").add(1);
       reg->counter("batch.seam_ops").add(exec_.cost.ops);
@@ -142,45 +177,49 @@ void BatchRunner::run_shard(std::span<const std::uint64_t> inputs,
     // Wall-time distributions (DESIGN.md §5g): per-shard latency and the
     // amortized per-pass latency, from the two clock reads already taken.
     reg->histogram("batch.shard.us").record(elapsed / 1000);
-    const std::uint64_t payload = v - start;
-    if (payload != 0) {
-      reg->histogram("batch.pass.ns").record(elapsed / payload);
-    }
+    if (passes != 0) reg->histogram("batch.pass.ns").record(elapsed / passes);
   };
 
-  for (; v < slot.end; ++v) {
-    stop = poll.poll();  // one relaxed load + branch (dead branch when null)
-    if (inj != nullptr) {
-      if (stop == StopReason::None &&
-          inj->fire(FaultSite::DeadlineOverrun, shard_index, v, attempt)) {
-        metric_add(reg, "resil.injected", 1);
-        stop = StopReason::Deadline;
-      }
-      if (inj->fire(FaultSite::WorkerThrow, shard_index, v, attempt)) {
-        metric_add(reg, "resil.injected", 1);
-        account();
-        throw InjectedFault(FaultSite::WorkerThrow, shard_index, v, attempt);
-      }
-      if (inj->fire(FaultSite::ArenaCorrupt, shard_index, v, attempt)) {
-        metric_add(reg, "resil.injected", 1);
-        const std::span<Word> arena = runner.mutable_arena();
-        if (!arena.empty()) {
-          arena[v % arena.size()] ^= static_cast<Word>(0xdeadbeefdeadbeefull);
+  while (v < slot.end && stop == StopReason::None) {
+    // One pass settles the rest of v's lane group. Each of its vectors is
+    // polled and offered to the injector first, so a stop at vector u runs
+    // exactly the lanes before u — the same vectors a scalar run completes.
+    const std::size_t group_end = std::min(slot.end, (v / lanes + 1) * lanes);
+    std::size_t u = v;
+    for (; u < group_end; ++u) {
+      stop = poll.poll();  // one relaxed load + branch (dead branch when null)
+      if (inj != nullptr) {
+        if (stop == StopReason::None &&
+            inj->fire(FaultSite::DeadlineOverrun, shard_index, u, attempt)) {
+          metric_add(reg, "resil.injected", 1);
+          stop = StopReason::Deadline;
         }
-        account();
-        // The corruption is trapped immediately (standing in for a detected
-        // memory fault); the retry restarts from a fresh seam-replayed
-        // arena, so the shard's final outputs stay bit-identical.
-        throw InjectedFault(FaultSite::ArenaCorrupt, shard_index, v, attempt);
+        if (inj->fire(FaultSite::WorkerThrow, shard_index, u, attempt)) {
+          metric_add(reg, "resil.injected", 1);
+          account();
+          throw InjectedFault(FaultSite::WorkerThrow, shard_index, u, attempt);
+        }
+        if (inj->fire(FaultSite::ArenaCorrupt, shard_index, u, attempt)) {
+          metric_add(reg, "resil.injected", 1);
+          const std::span<Word> arena = runner.mutable_arena();
+          if (!arena.empty()) {
+            arena[u % arena.size()] ^= static_cast<Word>(0xdeadbeefdeadbeefull);
+          }
+          account();
+          // The corruption is trapped immediately (standing in for a
+          // detected memory fault); the retry restarts from a fresh arena,
+          // so the shard's final outputs stay bit-identical.
+          throw InjectedFault(FaultSite::ArenaCorrupt, shard_index, u, attempt);
+        }
       }
+      if (stop != StopReason::None) break;
     }
-    if (stop != StopReason::None) break;
-    load(v);
+    if (u == v) break;
+    load(v, u - v);
     runner.run(row);
-    Bit* dst = out.data() + v * cols;
-    for (std::size_t j = 0; j < cols; ++j) {
-      dst[j] = runner.bit(probes_[j].word, probes_[j].bit);
-    }
+    store(v, u - v);
+    ++passes;
+    v = u;
   }
 
   slot.next = v;
@@ -193,7 +232,7 @@ void BatchRunner::run_shard(std::span<const std::uint64_t> inputs,
   account();
 }
 
-void BatchRunner::run_shard_any(std::span<const std::uint64_t> inputs,
+void BatchRunner::run_shard_any(std::span<const Bit> inputs,
                                 std::size_t shard_index, ShardSlot& slot,
                                 std::span<Bit> out, unsigned attempt) {
   switch (program_.word_bits) {
@@ -214,7 +253,7 @@ void BatchRunner::run_shard_any(std::span<const std::uint64_t> inputs,
   }
 }
 
-void BatchRunner::run_shard_guarded(std::span<const std::uint64_t> inputs,
+void BatchRunner::run_shard_guarded(std::span<const Bit> inputs,
                                     std::size_t shard_index, ShardSlot& slot,
                                     std::span<Bit> out) {
   MetricsRegistry* const reg = options_.metrics;
@@ -249,7 +288,7 @@ void BatchRunner::run_shard_guarded(std::span<const std::uint64_t> inputs,
   }
 }
 
-std::vector<Bit> BatchRunner::run(std::span<const std::uint64_t> inputs,
+std::vector<Bit> BatchRunner::run(std::span<const Bit> inputs,
                                   std::size_t num_vectors) {
   ResilientBatch r = run_resilient(inputs, num_vectors, nullptr);
   if (r.status != RunStatus::Complete) {
@@ -260,7 +299,7 @@ std::vector<Bit> BatchRunner::run(std::span<const std::uint64_t> inputs,
   return std::move(r.values);
 }
 
-ResilientBatch BatchRunner::run_resilient(std::span<const std::uint64_t> inputs,
+ResilientBatch BatchRunner::run_resilient(std::span<const Bit> inputs,
                                           std::size_t num_vectors,
                                           const BatchCheckpoint* resume) {
   const std::size_t iw = program_.input_words;
@@ -279,12 +318,16 @@ ResilientBatch BatchRunner::run_resilient(std::span<const std::uint64_t> inputs,
     reg->counter("batch.threads").set(pool_.threads());
   }
 
-  const std::size_t quot = num_vectors / shards;
-  const std::size_t rem = num_vectors % shards;
+  // Shards are runs of whole lane groups, so the pass count is
+  // ceil(num_vectors / lanes) at every thread count.
+  const std::size_t groups = (num_vectors + lanes_ - 1) / lanes_;
+  const std::size_t quot = groups / shards;
+  const std::size_t rem = groups % shards;
   std::vector<ShardSlot> slots(shards);
   for (std::size_t s = 0; s < shards; ++s) {
-    slots[s].begin = s * quot + std::min(s, rem);
-    slots[s].end = slots[s].begin + quot + (s < rem ? 1 : 0);
+    slots[s].begin = (s * quot + std::min(s, rem)) * lanes_;
+    slots[s].end = std::min(
+        num_vectors, slots[s].begin + (quot + (s < rem ? 1 : 0)) * lanes_);
     slots[s].next = slots[s].begin;
   }
 

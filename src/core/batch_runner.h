@@ -11,6 +11,13 @@
 // That one discarded pass is the entire synchronization cost; shards never
 // communicate while running.
 //
+// Lane packing: when lane_parallel(program, probes) holds (ir/program.h —
+// the LCC and PC-set programs), no probe reads retained state and every op
+// is lane-wise, so one pass settles word_bits independent vectors, one per
+// bit lane. The runner then transposes each lane group of input rows into
+// one word per input, and shards are runs of whole lane groups that need no
+// seam replay: ceil(vectors / word_bits) passes for every thread count.
+//
 // Determinism guarantee: run() returns the same bits for every thread
 // count, equal to a sequential KernelRunner replay from the reset arena
 // (enforced by tests/batch_runner_test.cpp).
@@ -47,7 +54,7 @@ class Diagnostics;
 
 struct BatchOptions {
   unsigned num_threads = 0;    ///< worker threads; 0 = all hardware threads
-  std::size_t min_chunk = 16;  ///< smallest shard worth a seam-replay pass
+  std::size_t min_chunk = 16;  ///< smallest shard worth a pool dispatch
   /// Optional observability sink (DESIGN.md §5e). Payload passes bump the
   /// exact execution counters (sim.vectors, exec.*) — identical for every
   /// thread count; the sharding cost itself is recorded separately
@@ -100,7 +107,8 @@ struct ResilientBatch {
 
 /// Runs a vector stream through one compiled `Program` on a worker pool:
 /// one private KernelRunner arena per shard, seam replay at shard
-/// boundaries, outputs merged in submission order. Works over any program
+/// boundaries (or lane packing, see above), outputs merged in submission
+/// order. Works over any program
 /// the compiled engines produce (LCC, PC-set, parallel and its optimized
 /// variants) at any dispatched word size (32/64/128/256 bits; wide arenas
 /// checkpoint as word_bits/64 uint64 carrier lanes per word).
@@ -112,14 +120,16 @@ class BatchRunner {
               BatchOptions options = {});
 
   /// Run `num_vectors` vectors. `inputs` is row-major with
-  /// `program.input_words` words per vector (uint64 carrier, truncated to
-  /// the program's word size). Returns a row-major Bit matrix of
+  /// `program.input_words` Bits per vector — one per input word, of which
+  /// bit 0 is loaded (every compiled engine reads only bit 0 of an input
+  /// word; lane packing puts vector v + l's bit in lane l). Returns a
+  /// row-major Bit matrix of
   /// `num_vectors` rows × `probes().size()` columns, in submission order.
   /// With a cancel token attached, an early stop raises Cancelled (the
   /// partial work is discarded; state is never torn). `num_vectors == 0`
   /// short-circuits to an empty result: no seam replay, no pool dispatch,
   /// no metrics traffic.
-  [[nodiscard]] std::vector<Bit> run(std::span<const std::uint64_t> inputs,
+  [[nodiscard]] std::vector<Bit> run(std::span<const Bit> inputs,
                                      std::size_t num_vectors);
 
   /// run() with structured stop handling: cancellation/deadline returns a
@@ -131,7 +141,7 @@ class BatchRunner {
   /// and rethrows a shard's error only after its sequential quarantine
   /// replay also failed.
   [[nodiscard]] ResilientBatch run_resilient(
-      std::span<const std::uint64_t> inputs, std::size_t num_vectors,
+      std::span<const Bit> inputs, std::size_t num_vectors,
       const BatchCheckpoint* resume = nullptr);
 
   [[nodiscard]] unsigned num_threads() const noexcept { return pool_.threads(); }
@@ -140,9 +150,14 @@ class BatchRunner {
   }
 
   /// Shards a run of `num_vectors` would be split into: one per thread,
-  /// but never below `min_chunk` vectors each (a seam replay must stay
-  /// amortized) and never more than the vector count.
+  /// but never below `min_chunk` vectors each (the dispatch and any seam
+  /// replay must stay amortized) and never more than the run's lane groups. Shard s
+  /// covers lane groups [s*q + min(s, r), ...) for q, r = groups ÷ shards.
   [[nodiscard]] std::size_t shard_count(std::size_t num_vectors) const noexcept;
+
+  /// Vectors one executor pass settles: the program's word_bits when it is
+  /// lane_parallel (the lane-group size), else 1.
+  [[nodiscard]] unsigned lanes_per_pass() const noexcept { return lanes_; }
 
  private:
   /// Mutable per-shard execution state (internal; becomes a ShardCheckpoint
@@ -158,13 +173,12 @@ class BatchRunner {
   };
 
   template <class Word>
-  void run_shard(std::span<const std::uint64_t> inputs, std::size_t shard_index,
+  void run_shard(std::span<const Bit> inputs, std::size_t shard_index,
                  ShardSlot& slot, std::span<Bit> out, unsigned attempt);
-  void run_shard_any(std::span<const std::uint64_t> inputs,
-                     std::size_t shard_index, ShardSlot& slot,
-                     std::span<Bit> out, unsigned attempt);
+  void run_shard_any(std::span<const Bit> inputs, std::size_t shard_index,
+                     ShardSlot& slot, std::span<Bit> out, unsigned attempt);
   /// Retry loop around run_shard; sets slot.quarantined instead of throwing.
-  void run_shard_guarded(std::span<const std::uint64_t> inputs,
+  void run_shard_guarded(std::span<const Bit> inputs,
                          std::size_t shard_index, ShardSlot& slot,
                          std::span<Bit> out);
 
@@ -173,6 +187,7 @@ class BatchRunner {
   BatchOptions options_;
   ThreadPool pool_;
   ExecCounters exec_;  ///< payload-pass counters (disengaged without metrics)
+  unsigned lanes_ = 1;  ///< vectors per pass (see lanes_per_pass)
 };
 
 }  // namespace udsim

@@ -54,8 +54,8 @@ EquivalenceResult check_equivalence(const Netlist& a, const Netlist& b,
   Netlist la = a, lb = b;
   lower_wired_nets(la);
   lower_wired_nets(lb);
-  const LccCompiled ca = compile_lcc(la, /*packed=*/true);
-  const LccCompiled cb = compile_lcc(lb, /*packed=*/true);
+  const LccCompiled ca = compile_lcc(la);
+  const LccCompiled cb = compile_lcc(lb);
   KernelRunner<std::uint32_t> ra(ca.program);
   KernelRunner<std::uint32_t> rb(cb.program);
 

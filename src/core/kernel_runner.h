@@ -16,15 +16,6 @@
 
 namespace udsim {
 
-/// Location of one bit inside a compiled program's word arena. The compiled
-/// engines expose the arena position of each net's settled value as an
-/// ArenaProbe (final_arena_probe) so that engine-agnostic code — the batch
-/// layer above all — can sample outputs without knowing the field layout.
-struct ArenaProbe {
-  std::uint32_t word = 0;
-  std::uint8_t bit = 0;
-};
-
 /// A program compiled for one word size handed to a runner instantiated at
 /// another. Carries both widths so callers can surface the mismatch as a
 /// structured diagnostic (DiagCode::ProgramWordSize) instead of a bare
@@ -66,10 +57,11 @@ class KernelRunner {
     initialize_arena<Word>(program, std::span<Word>(arena_));
   }
 
-  /// Simulate one vector: `in` is one word per primary input (bit 0 in
-  /// scalar mode, one lane per bit in packed mode). With a cancel token
-  /// attached, a cancelled/deadline-expired token raises Cancelled *before*
-  /// the pass starts, so the settled arena always reflects whole vectors.
+  /// Simulate one pass: `in` is one word per primary input (one vector in
+  /// bit 0, or — for a lane_parallel program — one vector per bit lane).
+  /// With a cancel token attached, a cancelled/deadline-expired token
+  /// raises Cancelled *before* the pass starts, so the settled arena always
+  /// reflects whole vectors.
   void run(std::span<const Word> in) {
     const StopReason r = poll_.poll();  // one dead branch when detached
     if (r != StopReason::None) throw Cancelled(r, "kernel.run", passes_ + 1);

@@ -176,16 +176,15 @@ class EngineAdapter final : public Simulator {
                     BatchResult& r) const {
     const std::size_t pis = nl_.primary_inputs().size();
     if (program.input_words != pis) {
-      throw std::logic_error("run_batch: program is not in scalar input mode");
+      throw std::logic_error(
+          "run_batch: program input words do not match the primary inputs");
     }
-    std::vector<std::uint64_t> in(count * pis);
-    for (std::size_t i = 0; i < in.size(); ++i) in[i] = vectors[i] & 1;
     BatchRunner batch(program, batch_probes(engine_, nl_),
                       BatchOptions{.num_threads = num_threads,
                                    .metrics = metrics,
                                    .extra_pass_cost = batch_extras(engine_),
                                    .cancel = cancel});
-    r.values = batch.run(in, count);
+    r.values = batch.run(vectors, count);
     r.threads = batch.num_threads();
   }
 

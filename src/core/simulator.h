@@ -70,8 +70,9 @@ class Simulator {
   /// independent of prior step() calls, and never disturbs this instance's
   /// incremental state. Compiled engines shard the stream across
   /// `opts.num_threads` workers (0 = all hardware threads) with
-  /// bit-identical results for every thread count; the interpreted event
-  /// engines fall back to a single-threaded replay. See DESIGN.md §5c.
+  /// bit-identical results for every thread count — LCC and PC-set settle
+  /// word_bits vectors per executor pass, one per bit lane; the interpreted
+  /// event engines fall back to a single-threaded replay. See DESIGN.md §5c.
   ///
   /// Thread safety: run_batch touches no mutable instance state, so any
   /// number of concurrent run_batch calls may share one Simulator as long

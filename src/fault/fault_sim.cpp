@@ -46,8 +46,7 @@ using detail::Forcing;
 
 template <class Word>
 FaultSimulator<Word>::FaultSimulator(const Netlist& nl)
-    : nl_(nl), good_(compile_lcc(nl, /*packed=*/true,
-                                 static_cast<int>(sizeof(Word) * 8))) {}
+    : nl_(nl), good_(compile_lcc(nl, static_cast<int>(sizeof(Word) * 8))) {}
 
 template <class Word>
 FaultSimResult FaultSimulator<Word>::run_ppsfp(std::span<const Fault> faults,

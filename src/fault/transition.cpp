@@ -27,7 +27,7 @@ TransitionFaultResult run_transition_fault_sim(const Netlist& nl,
   const std::size_t pis = nl.primary_inputs().size();
   const std::vector<Bit> m = detail::fault_patterns(patterns, pis, seed);
   const std::size_t batches = (patterns + L - 1) / L;
-  const LccCompiled good = compile_lcc(nl, /*packed=*/true);
+  const LccCompiled good = compile_lcc(nl);
   const auto& pos = nl.primary_outputs();
 
   // Packed inputs per batch (lane = pattern index within the batch).

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -77,5 +78,28 @@ struct Program {
 
   [[nodiscard]] std::size_t size() const noexcept { return ops.size(); }
 };
+
+/// Location of one bit inside a compiled program's word arena. The compiled
+/// engines expose the arena position of each net's settled value as an
+/// ArenaProbe (final_arena_probe) so that engine-agnostic code — the batch
+/// layer above all — can sample outputs without knowing the field layout.
+struct ArenaProbe {
+  std::uint32_t word = 0;
+  std::uint8_t bit = 0;
+};
+
+/// True when one pass of `p` can settle word_bits independent input vectors
+/// at once, one per bit lane, with `probes` reading each lane's result
+/// (DESIGN.md §5c). All four must hold:
+///   - every op is lane-wise (no LoadBit/LoadBcast/ExtractBit/BcastBit,
+///     shift or funnel op), so lane i of a result depends on lane i only;
+///   - every arena_init value is 0 or all-ones (the same in every lane);
+///   - every probe reads bit 0;
+///   - no probe depends, within one pass, on a word read before the pass
+///     writes it — i.e. on state retained from the previous vector.
+/// Stops at the first op that is not lane-wise, so every parallel-technique
+/// program (op 0 is a broadcast load or bit broadcast) is rejected at op 0.
+[[nodiscard]] bool lane_parallel(const Program& p,
+                                 std::span<const ArenaProbe> probes);
 
 }  // namespace udsim

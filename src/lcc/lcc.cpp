@@ -6,11 +6,11 @@
 
 namespace udsim {
 
-LccCompiled compile_lcc(const Netlist& nl, bool packed, int word_bits) {
-  return compile_lcc(nl, packed, word_bits, CompileGuard{});
+LccCompiled compile_lcc(const Netlist& nl, int word_bits) {
+  return compile_lcc(nl, word_bits, CompileGuard{});
 }
 
-LccCompiled compile_lcc(const Netlist& nl, bool packed, int word_bits,
+LccCompiled compile_lcc(const Netlist& nl, int word_bits,
                         const CompileGuard& guard) {
   nl.validate();
   if (!guard.budget.unlimited()) {
@@ -20,7 +20,6 @@ LccCompiled compile_lcc(const Netlist& nl, bool packed, int word_bits,
   MetricsRegistry* const reg = guard.metrics;
   TraceSpan total_span(reg, "compile.total");
   LccCompiled out;
-  out.packed = packed;
   Program& p = out.program;
   p.word_bits = word_bits;
 
@@ -52,8 +51,7 @@ LccCompiled compile_lcc(const Netlist& nl, bool packed, int word_bits,
     out.def_end.assign(nl.net_count(), 0);
     for (std::uint32_t i = 0; i < nl.primary_inputs().size(); ++i) {
       const NetId pi = nl.primary_inputs()[i];
-      p.ops.push_back({packed ? OpCode::LoadWord : OpCode::LoadBit, 0,
-                       out.net_var[pi.value], i, 0});
+      p.ops.push_back({OpCode::LoadWord, 0, out.net_var[pi.value], i, 0});
       out.def_end[pi.value] = static_cast<std::uint32_t>(p.ops.size());
     }
     std::vector<std::uint32_t> operands;

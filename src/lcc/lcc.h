@@ -1,8 +1,9 @@
 // Zero-delay Levelized Compiled Code simulation (paper §1, Fig. 1).
 //
 // One variable per net, one straight-line gate evaluation per gate in
-// levelized order, final values only. Supports packed mode: with one lane
-// per word bit, 32/64 independent input vectors are simulated per pass.
+// levelized order, final values only. Inputs load as whole words and every
+// op is lane-wise, so the same program simulates one independent input
+// vector per bit lane (the batch layer packs word_bits vectors per pass).
 #pragma once
 
 #include <span>
@@ -21,31 +22,28 @@ struct LccCompiled {
   /// variable (0 when the value comes from arena_init, i.e. constants).
   /// Fault simulation splices forcing ops at these points.
   std::vector<std::uint32_t> def_end;
-  bool packed = false;
 };
 
-/// Generate the zero-delay LCC program. `packed` selects whole-word input
-/// loads (one lane per bit) instead of single-bit loads.
-[[nodiscard]] LccCompiled compile_lcc(const Netlist& nl, bool packed = false,
-                                      int word_bits = 32);
+/// Generate the zero-delay LCC program.
+[[nodiscard]] LccCompiled compile_lcc(const Netlist& nl, int word_bits = 32);
 
 /// Guarded variant: throws BudgetExceeded when the predicted or emitted
 /// cost crosses `guard.budget`; records compile diagnostics into
 /// `guard.diag` when set.
-[[nodiscard]] LccCompiled compile_lcc(const Netlist& nl, bool packed,
-                                      int word_bits, const CompileGuard& guard);
+[[nodiscard]] LccCompiled compile_lcc(const Netlist& nl, int word_bits,
+                                      const CompileGuard& guard);
 
-/// Convenience runtime wrapper (scalar mode).
+/// Convenience runtime wrapper: one vector per step, in lane 0.
 template <class Word = std::uint32_t>
 class LccSim {
  public:
   explicit LccSim(const Netlist& nl)
-      : nl_(nl), compiled_(compile_lcc(nl, false, static_cast<int>(sizeof(Word) * 8))),
+      : nl_(nl), compiled_(compile_lcc(nl, static_cast<int>(sizeof(Word) * 8))),
         runner_(compiled_.program) {}
 
   LccSim(const Netlist& nl, const CompileGuard& guard)
       : nl_(nl),
-        compiled_(compile_lcc(nl, false, static_cast<int>(sizeof(Word) * 8), guard)),
+        compiled_(compile_lcc(nl, static_cast<int>(sizeof(Word) * 8), guard)),
         runner_(compiled_.program) {}
 
   // runner_ references compiled_.program; relocation would dangle.

@@ -1,10 +1,10 @@
 #include "obs/bench_report.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <span>
 
 #include "analysis/compile_budget.h"
-#include "core/packed_runner.h"
 #include "core/simulator.h"
 #include "core/width_dispatch.h"
 #include "harness/timer.h"
@@ -43,11 +43,14 @@ namespace {
   return stream;
 }
 
+/// One row. `word_bits` follows the dispatch_width convention (0 = the
+/// default lane width).
 [[nodiscard]] BenchEngineResult measure_engine(const Netlist& nl,
                                                EngineKind kind,
                                                unsigned threads,
                                                std::span<const Bit> stream,
-                                               const BenchRunConfig& cfg) {
+                                               const BenchRunConfig& cfg,
+                                               int word_bits = 0) {
   BenchEngineResult row;
   row.engine = bench_engine_slug(kind);
   row.threads = threads;
@@ -55,7 +58,7 @@ namespace {
   MetricsRegistry reg;
   CompileGuard guard;
   guard.metrics = &reg;
-  auto sim = make_simulator(nl, kind, guard);
+  auto sim = make_simulator(nl, kind, guard, word_bits);
   if (const Program* program = sim->compiled_program()) {
     row.word_bits = program->word_bits;
   }
@@ -70,7 +73,7 @@ namespace {
     row.us_per_vector = row.seconds * 1e6 / static_cast<double>(cfg.vectors);
   }
 
-  // One metered run of exactly cfg.vectors passes: the exact counters are
+  // One metered run of exactly cfg.vectors vectors: the exact counters are
   // then independent of the trial count above.
   sim->set_metrics(&reg);
   (void)sim->run_batch(stream, threads);
@@ -94,36 +97,6 @@ namespace {
       row.arena_bytes_per_gate = static_cast<double>(est.peak_bytes) /
                                  static_cast<double>(nl.gate_count());
     }
-  }
-  return row;
-}
-
-/// One "lcc-packed" row: the packed data-parallel LCC runner at one lane
-/// width — word_bits independent vectors per executor pass, the row set
-/// where throughput scales with the dispatched width.
-[[nodiscard]] BenchEngineResult measure_packed(const Netlist& nl, int word_bits,
-                                               std::span<const Bit> stream,
-                                               const BenchRunConfig& cfg) {
-  BenchEngineResult row;
-  row.engine = "lcc-packed";
-  row.threads = 1;
-
-  // Timed runs detached from metrics, same protocol as measure_engine.
-  row.seconds = median_seconds(
-      [&] { (void)run_packed_lcc(nl, stream, word_bits); }, cfg.trials);
-  if (row.seconds > 0.0) {
-    row.vectors_per_sec = static_cast<double>(cfg.vectors) / row.seconds;
-    row.us_per_vector = row.seconds * 1e6 / static_cast<double>(cfg.vectors);
-  }
-
-  MetricsRegistry reg;
-  CompileGuard guard;
-  guard.metrics = &reg;
-  const PackedRunResult metered =
-      run_packed_lcc(nl, stream, word_bits, &reg, &guard);
-  row.word_bits = metered.word_bits;
-  for (const auto& [name, value] : reg.snapshot()) {
-    if (!is_nondeterministic_key(name)) row.exact.emplace(name, value);
   }
   return row;
 }
@@ -179,14 +152,18 @@ BenchReport run_bench_report(
         // rows the *baseline* has, so IR baselines still check clean.
       }
     }
-    if (cfg.with_packed) {
-      const std::vector<int> widths =
-          cfg.packed_widths.empty() ? supported_widths() : cfg.packed_widths;
-      for (const int w : widths) {
-        // A width this build/CPU lacks is skipped, not narrowed: a silent
-        // fallback would produce a row labeled with a width it never ran.
-        if (!width_available(w)) continue;
-        cr.engines.push_back(measure_packed(*nl, w, stream, cfg));
+    // Width rows: LCC at every lane width (run_batch packs word_bits
+    // vectors per pass, so throughput scales with the lane — DESIGN.md
+    // §5j), skipping the width the default row above already measured.
+    for (const int w : supported_widths()) {
+      const bool measured =
+          std::any_of(cr.engines.begin(), cr.engines.end(), [&](const auto& e) {
+            return e.engine == "zero-delay-lcc" && e.threads == 1 &&
+                   e.word_bits == w;
+          });
+      if (!measured) {
+        cr.engines.push_back(
+            measure_engine(*nl, EngineKind::ZeroDelayLcc, 1, stream, cfg, w));
       }
     }
     report.circuits.push_back(std::move(cr));

@@ -78,21 +78,15 @@ struct BenchRunConfig {
   /// still checks clean (check_bench_report walks the baseline's rows), and
   /// a machine without a C compiler just skips the row.
   bool with_native = false;
-  /// Also measure the packed LCC data-parallel runner ("lcc-packed" rows)
-  /// once per lane width: word_bits independent vectors per executor pass,
-  /// so throughput scales with the lane — the row set where the wide
-  /// executors show their win (DESIGN.md §5j). Empty = every width
-  /// supported_widths() reports; widths unavailable on this build/CPU are
-  /// skipped (check_bench_report then reports the coverage loss against a
-  /// baseline that had them).
-  bool with_packed = true;
-  std::vector<int> packed_widths;
 };
 
-/// Measure every circuit × engine. Timing runs detached from metrics (the
-/// measured loop is the production loop); the exact counters come from one
-/// separate metered run of exactly `vectors` passes, so they are
-/// independent of the trial count.
+/// Measure every circuit × engine, plus one zero-delay-lcc row per lane
+/// width supported_widths() reports (widths this build/CPU lacks are absent;
+/// check_bench_report flags the coverage loss against a baseline that had
+/// them). Timing runs detached from metrics (the measured loop is the
+/// production loop); the exact counters come from one separate metered run
+/// of exactly `vectors` vectors, so they are independent of the trial
+/// count.
 [[nodiscard]] BenchReport run_bench_report(
     const std::vector<std::pair<std::string, const Netlist*>>& circuits,
     const BenchRunConfig& cfg = {});

@@ -99,6 +99,7 @@ ExecCounters ExecCounters::attach(
   // filtered out of the deterministic subset).
   reg->histogram("exec.program_ops").record(e.cost.ops);
   e.vectors = &reg->counter("sim.vectors");
+  e.passes = &reg->counter("exec.passes");
   e.ops = &reg->counter("exec.ops");
   e.words_written = &reg->counter("exec.words_written");
   e.words_read = &reg->counter("exec.words_read");

@@ -6,8 +6,10 @@
 // counters are per-pass constants times the pass count. Computing the
 // constants once (one scan of the op vector) keeps the hot loops free of
 // per-op instrumentation while the counters stay exact, not sampled:
-// `exec.ops` after N vectors is provably N × |Program|, and the
-// metrics-invariant tests hold the runtime to exactly that.
+// `exec.ops` after N passes is provably N × |Program| (`exec.passes` counts
+// them; `sim.vectors` counts input vectors, word_bits per pass when the
+// batch layer packs lanes), and the metrics-invariant tests hold the runtime
+// to exactly that.
 #pragma once
 
 #include <cstdint>
@@ -62,6 +64,7 @@ inline bool operator==(const ProgramPassCost& a, const ProgramPassCost& b) {
 /// a disengaged bundle whose on_passes() is a single branch.
 struct ExecCounters {
   MetricCounter* vectors = nullptr;  ///< null = disengaged (no registry)
+  MetricCounter* passes = nullptr;
   MetricCounter* ops = nullptr;
   MetricCounter* words_written = nullptr;
   MetricCounter* words_read = nullptr;
@@ -77,10 +80,14 @@ struct ExecCounters {
 
   [[nodiscard]] bool engaged() const noexcept { return vectors != nullptr; }
 
-  /// Record `n` completed executor passes (relaxed atomic adds).
-  void on_passes(std::uint64_t n) const noexcept {
+  /// Record `n` completed executor passes that settled `settled` input
+  /// vectors (relaxed atomic adds). The two differ only for lane-packed
+  /// batches (word_bits vectors per pass); every per-pass constant scales
+  /// with the pass count.
+  void on_passes(std::uint64_t n, std::uint64_t settled) const noexcept {
     if (!vectors || n == 0) return;
-    vectors->add(n);
+    vectors->add(settled);
+    passes->add(n);
     ops->add(cost.ops * n);
     words_written->add(cost.words_written * n);
     words_read->add(cost.words_read * n);
@@ -89,6 +96,8 @@ struct ExecCounters {
     gate_ops->add(cost.gate_ops * n);
     for (const auto& [counter, per_pass] : extras) counter->add(per_pass * n);
   }
+  /// One vector per pass: the step()-driven and scalar-batch case.
+  void on_passes(std::uint64_t n) const noexcept { on_passes(n, n); }
 };
 
 }  // namespace udsim

@@ -30,13 +30,12 @@ std::uint32_t PCSetCompiled::final_var(NetId n) const {
 }
 
 PCSetCompiled compile_pcset(const Netlist& nl, std::span<const NetId> monitored,
-                            bool packed, int word_bits) {
-  return compile_pcset(nl, monitored, packed, word_bits, CompileGuard{});
+                            int word_bits) {
+  return compile_pcset(nl, monitored, word_bits, CompileGuard{});
 }
 
 PCSetCompiled compile_pcset(const Netlist& nl, std::span<const NetId> monitored,
-                            bool packed, int word_bits,
-                            const CompileGuard& guard) {
+                            int word_bits, const CompileGuard& guard) {
   nl.validate();
   if (!guard.budget.unlimited()) {
     // Predicted from PC-set statistics alone, before any op is emitted.
@@ -54,7 +53,6 @@ PCSetCompiled compile_pcset(const Netlist& nl, std::span<const NetId> monitored,
   MetricsRegistry* const reg = guard.metrics;
   TraceSpan total_span(reg, "compile.total");
   PCSetCompiled out;
-  out.packed = packed;
   out.monitored.assign(monitored.begin(), monitored.end());
   if (out.monitored.empty()) {
     out.monitored = nl.primary_outputs();
@@ -129,7 +127,7 @@ PCSetCompiled compile_pcset(const Netlist& nl, std::span<const NetId> monitored,
   // 2. Primary-input loads.
   for (std::uint32_t i = 0; i < nl.primary_inputs().size(); ++i) {
     const NetId pi = nl.primary_inputs()[i];
-    p.ops.push_back({packed ? OpCode::LoadWord : OpCode::LoadBit, 0, var_of(pi, 0), i, 0});
+    p.ops.push_back({OpCode::LoadWord, 0, var_of(pi, 0), i, 0});
   }
   // 3. Gate simulations in levelized order, one per PC-set element.
   std::vector<std::uint32_t> operands;

@@ -26,7 +26,6 @@ namespace udsim {
 
 struct PCSetCompiled {
   Program program;
-  bool packed = false;
   std::vector<NetId> monitored;
 
   /// Per net: (time, arena word) pairs sorted by time — its variables.
@@ -48,34 +47,33 @@ struct PCSetCompiled {
 };
 
 /// Compile. `monitored` defaults (empty span) to the primary outputs.
-/// `packed` selects whole-word input loads: one independent vector stream
-/// per bit lane.
+/// Inputs load as whole words: one independent vector stream per bit lane.
 [[nodiscard]] PCSetCompiled compile_pcset(const Netlist& nl,
                                           std::span<const NetId> monitored = {},
-                                          bool packed = false, int word_bits = 32);
+                                          int word_bits = 32);
 
 /// Guarded variant: throws BudgetExceeded when the predicted or emitted
 /// cost crosses `guard.budget`; records compile diagnostics into
 /// `guard.diag` when set.
 [[nodiscard]] PCSetCompiled compile_pcset(const Netlist& nl,
                                           std::span<const NetId> monitored,
-                                          bool packed, int word_bits,
+                                          int word_bits,
                                           const CompileGuard& guard);
 
-/// Runtime wrapper (scalar mode): steps vectors, exposes the value history
-/// of monitored nets.
+/// Runtime wrapper: steps one vector at a time (lane 0), exposes the value
+/// history of monitored nets.
 template <class Word = std::uint32_t>
 class PCSetSim {
  public:
   PCSetSim(const Netlist& nl, std::span<const NetId> monitored = {})
       : nl_(nl),
-        compiled_(compile_pcset(nl, monitored, false, static_cast<int>(sizeof(Word) * 8))),
+        compiled_(compile_pcset(nl, monitored, static_cast<int>(sizeof(Word) * 8))),
         runner_(compiled_.program) {}
 
   PCSetSim(const Netlist& nl, std::span<const NetId> monitored,
            const CompileGuard& guard)
       : nl_(nl),
-        compiled_(compile_pcset(nl, monitored, false,
+        compiled_(compile_pcset(nl, monitored,
                                 static_cast<int>(sizeof(Word) * 8), guard)),
         runner_(compiled_.program) {}
 

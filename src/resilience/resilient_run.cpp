@@ -140,11 +140,9 @@ ResilientResult run_batch_resilient(const Simulator& sim,
   const std::size_t pis = nl.primary_inputs().size();
   if (program->input_words != pis) {
     throw std::logic_error(
-        "run_batch_resilient: program is not in scalar input mode");
+        "run_batch_resilient: program input words do not match the primary "
+        "inputs");
   }
-  std::vector<std::uint64_t> in(count * pis);
-  for (std::size_t i = 0; i < in.size(); ++i) in[i] = vectors[i] & 1;
-
   BatchRunner runner(*program, std::move(probes),
                      BatchOptions{.num_threads = opts.num_threads,
                                   .metrics = opts.metrics,
@@ -153,7 +151,7 @@ ResilientResult run_batch_resilient(const Simulator& sim,
                                   .retry_limit = opts.retry_limit,
                                   .diag = opts.diag,
                                   .trace_id = opts.trace_id});
-  ResilientBatch b = runner.run_resilient(in, count, opts.resume);
+  ResilientBatch b = runner.run_resilient(vectors, count, opts.resume);
   r.status = b.status;
   r.batch.values = std::move(b.values);
   r.batch.threads = runner.num_threads();

@@ -51,13 +51,16 @@ class BoundedQueue {
 
   /// Blocking dequeue. Returns nullopt only when the queue is closed *and*
   /// empty — items enqueued before close() are still delivered.
-  [[nodiscard]] std::optional<T> pop() {
+  /// `depth_after` (optional) receives the depth left behind, read under the
+  /// same lock as the dequeue, so later pushes cannot leak into it.
+  [[nodiscard]] std::optional<T> pop(std::size_t* depth_after = nullptr) {
     std::unique_lock lock(mu_);
     cv_.wait(lock, [this] { return closed_ || !items_.empty(); });
     if (items_.empty()) return std::nullopt;
     T item = std::move(items_.front());
     items_.pop_front();
     publish_depth(items_.size());
+    if (depth_after != nullptr) *depth_after = items_.size();
     return item;
   }
 

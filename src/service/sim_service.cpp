@@ -633,7 +633,8 @@ SimResponse SimService::run(SessionId session, SimRequest req) {
 
 void SimService::worker_loop() {
   for (;;) {
-    std::optional<std::shared_ptr<Pending>> item = queue_.pop();
+    std::size_t depth_at_pop = 0;
+    std::optional<std::shared_ptr<Pending>> item = queue_.pop(&depth_at_pop);
     if (!item.has_value()) return;  // closed and drained
     const std::shared_ptr<Pending> p = std::move(*item);
     if (stopping_.load(std::memory_order_acquire)) {
@@ -644,11 +645,12 @@ void SimService::worker_loop() {
       resolve(*p, std::move(r));
       continue;
     }
-    run_one(p);
+    run_one(p, depth_at_pop);
   }
 }
 
-void SimService::run_one(const std::shared_ptr<Pending>& p) {
+void SimService::run_one(const std::shared_ptr<Pending>& p,
+                         std::size_t depth_at_pop) {
   // Pin the request id to this worker thread: every TraceSpan below —
   // including the compile-phase spans inside the cache build — tags itself
   // with the "request" arg. Shards on pool threads re-enter the scope via
@@ -670,10 +672,11 @@ void SimService::run_one(const std::shared_ptr<Pending>& p) {
     return;
   }
 
-  // Load-shed decision, from the queue state at schedule time.
+  // Load-shed decision, from the queue state at schedule time: the depth
+  // the pop left behind, not whatever arrived while this worker got here.
   const std::uint64_t shed_start = trace_now_ns();
   const std::size_t level_i =
-      cfg_.shed.decide(queue_.depth(), queue_.capacity());
+      cfg_.shed.decide(depth_at_pop, queue_.capacity());
   const ShedLevel& level = cfg_.shed.level(level_i);
   p->trace.record(RequestPhase::ShedDecide, shed_start,
                   trace_now_ns() - shed_start, level_i);

@@ -244,7 +244,7 @@ class SimService {
   };
 
   void worker_loop();
-  void run_one(const std::shared_ptr<Pending>& p);
+  void run_one(const std::shared_ptr<Pending>& p, std::size_t depth_at_pop);
   /// Exactly-once resolution: first caller wins, records outcome counters
   /// and per-session metrics, erases the active entry, fulfills the future.
   void resolve(Pending& p, SimResponse&& resp);

@@ -3,6 +3,7 @@
 // random DAGs with fixed seeds — the guarantee DESIGN.md §5c states.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 #include <vector>
@@ -10,8 +11,10 @@
 #include "core/batch_runner.h"
 #include "core/simulator.h"
 #include "core/thread_pool.h"
+#include "core/width_dispatch.h"
 #include "gen/random_dag.h"
 #include "harness/vectors.h"
+#include "obs/metrics.h"
 #include "lcc/lcc.h"
 #include "parsim/parallel_sim.h"
 #include "pcsim/pcset_sim.h"
@@ -36,15 +39,13 @@ Netlist test_dag(std::uint64_t seed, int max_delay = 1) {
   return random_dag(p);
 }
 
-/// Row-major uint64 input matrix: one 0/1 word per PI per vector.
-std::vector<std::uint64_t> random_inputs(std::size_t pis, std::size_t count,
-                                         std::uint64_t seed) {
+/// Row-major input matrix: one 0/1 Bit per PI per vector.
+std::vector<Bit> random_inputs(std::size_t pis, std::size_t count,
+                               std::uint64_t seed) {
   RandomVectorSource src(pis, seed);
-  std::vector<Bit> row(pis);
-  std::vector<std::uint64_t> in(pis * count);
+  std::vector<Bit> in(pis * count);
   for (std::size_t v = 0; v < count; ++v) {
-    src.next(row);
-    for (std::size_t i = 0; i < pis; ++i) in[v * pis + i] = row[i];
+    src.next(std::span<Bit>(in.data() + v * pis, pis));
   }
   return in;
 }
@@ -52,7 +53,7 @@ std::vector<std::uint64_t> random_inputs(std::size_t pis, std::size_t count,
 template <class Word>
 std::vector<Bit> sequential_replay(const Program& p,
                                    const std::vector<ArenaProbe>& probes,
-                                   const std::vector<std::uint64_t>& in,
+                                   const std::vector<Bit>& in,
                                    std::size_t count) {
   KernelRunner<Word> runner(p);
   std::vector<Word> row(p.input_words);
@@ -190,6 +191,49 @@ TEST(BatchRunner, EdgeCaseVectorCounts) {
   EXPECT_EQ(coarse.shard_count(150), 2u);
   EXPECT_EQ(coarse.shard_count(99), 1u);
   EXPECT_LE(batch.shard_count(1000), 5u);
+}
+
+TEST(BatchRunner, LanePackedEdgeCountsMatchStepReplay) {
+  // LCC and PC-set programs run word_bits vectors per pass: a lone vector,
+  // one short of a lane group, exactly one, one over, and a ragged 70 must
+  // all reproduce the one-vector-per-step rows, at every thread count and
+  // width, in exactly ceil(count / word_bits) passes.
+  const Netlist nl = test_dag(101);
+  const std::size_t pis = nl.primary_inputs().size();
+  for (int w : supported_widths()) {
+    const std::size_t lanes = static_cast<std::size_t>(w);
+    for (EngineKind kind : {EngineKind::ZeroDelayLcc, EngineKind::PCSet}) {
+      const auto sim = make_simulator(nl, kind, w);
+      const Program& program = *sim->compiled_program();
+      const std::vector<ArenaProbe> probes = sim->output_probes();
+      for (std::size_t count : {std::size_t{1}, lanes - 1, lanes, lanes + 1,
+                                std::size_t{70}}) {
+        const auto in = random_inputs(pis, count, 1000 + count);
+        std::vector<Bit> expect;
+        const auto replay = make_simulator(nl, kind, w);
+        for (std::size_t v = 0; v < count; ++v) {
+          replay->step(std::span<const Bit>(in).subspan(v * pis, pis));
+          for (NetId po : nl.primary_outputs()) expect.push_back(replay->final_value(po));
+        }
+        const std::size_t groups = (count + lanes - 1) / lanes;
+        for (unsigned nt : {1u, 2u, 5u}) {
+          MetricsRegistry reg;
+          BatchRunner batch(program, probes,
+                            BatchOptions{.num_threads = nt, .metrics = &reg});
+          ASSERT_EQ(batch.lanes_per_pass(), static_cast<unsigned>(w));
+          ASSERT_EQ(batch.run(in, count), expect)
+              << engine_name(kind) << " w" << w << " count " << count
+              << " threads " << nt;
+          const std::size_t shards =
+              std::min({std::size_t{nt}, groups, (count + 15) / 16});
+          EXPECT_EQ(batch.shard_count(count), std::max<std::size_t>(1, shards));
+          EXPECT_EQ(reg.counter("exec.passes").value(), groups);
+          EXPECT_EQ(reg.counter("sim.vectors").value(), count);
+          EXPECT_EQ(reg.counter("batch.seam_vectors").value(), 0u);
+        }
+      }
+    }
+  }
 }
 
 TEST(BatchRunner, RejectsMalformedRequests) {

@@ -24,18 +24,18 @@
 #include "parsim/parallel_sim.h"
 #include "pcsim/pcset_sim.h"
 #include "resilience/fault_injection.h"
+#include "test_util.h"
 
 namespace udsim {
 namespace {
 
-std::vector<std::uint64_t> random_inputs(std::size_t pis, std::size_t count,
-                                         std::uint64_t seed) {
+/// Row-major input matrix: one 0/1 Bit per PI per vector.
+std::vector<Bit> random_inputs(std::size_t pis, std::size_t count,
+                               std::uint64_t seed) {
   RandomVectorSource src(pis, seed);
-  std::vector<Bit> row(pis);
-  std::vector<std::uint64_t> in(pis * count);
+  std::vector<Bit> in(pis * count);
   for (std::size_t v = 0; v < count; ++v) {
-    src.next(row);
-    for (std::size_t i = 0; i < pis; ++i) in[v * pis + i] = row[i];
+    src.next(std::span<Bit>(in.data() + v * pis, pis));
   }
   return in;
 }
@@ -43,7 +43,7 @@ std::vector<std::uint64_t> random_inputs(std::size_t pis, std::size_t count,
 template <class Word>
 std::vector<Bit> sequential_replay(const Program& p,
                                    const std::vector<ArenaProbe>& probes,
-                                   const std::vector<std::uint64_t>& in,
+                                   const std::vector<Bit>& in,
                                    std::size_t count) {
   KernelRunner<Word> runner(p);
   std::vector<Word> row(p.input_words);
@@ -100,22 +100,21 @@ std::vector<CompiledCase> compile_all(const Netlist& nl) {
 /// demand the combined output equal the uninterrupted sequential replay.
 template <class Word>
 void expect_resume_bit_identical(const CompiledCase& c,
-                                 const std::vector<std::uint64_t>& in,
+                                 const std::vector<Bit>& in,
                                  std::size_t count,
                                  const std::vector<Bit>& expect, unsigned nt,
                                  const char* circuit) {
   const BatchOptions base{.num_threads = nt, .min_chunk = 8};
-  std::size_t shards = 0;
+  std::size_t s = 0;
+  std::size_t begin = 0;
   {
     BatchRunner probe_runner(c.program, c.probes, base);
-    shards = probe_runner.shard_count(count);
+    s = probe_runner.shard_count(count) - 1;
+    begin = test::shard_range(probe_runner, count, s).first;
   }
-  // Stop the last shard a vector after its seam: exercises the mid-stream
-  // arena capture, and with nt > 1 leaves earlier shards complete.
-  const std::size_t quot = count / shards;
-  const std::size_t rem = count % shards;
-  const std::size_t s = shards - 1;
-  const std::size_t begin = s * quot + std::min(s, rem);
+  // Stop the last shard a vector after its start: exercises the mid-stream
+  // arena capture (mid lane group for the lane-packed programs), and with
+  // several shards leaves the earlier ones complete.
   FaultInjector inject(7);
   inject.add_site({FaultSite::DeadlineOverrun, s, begin + 1, 0});
 
@@ -192,13 +191,17 @@ BatchCheckpoint sample_checkpoint() {
   LccCompiled lcc = compile_lcc(nl);
   std::vector<ArenaProbe> probes;
   for (NetId po : nl.primary_outputs()) probes.push_back({lcc.net_var[po.value], 0});
-  const std::size_t count = 40;
+  // Four shards of whole lane groups, the last one a partial group.
+  const std::size_t lanes = static_cast<std::size_t>(lcc.program.word_bits);
+  const std::size_t count = 3 * lanes + 8;
   const auto in = random_inputs(nl.primary_inputs().size(), count, 4);
   FaultInjector inject(1);
-  inject.add_site({FaultSite::DeadlineOverrun, 2, 25, 0});
   BatchRunner runner(lcc.program, probes,
                      BatchOptions{.num_threads = 4, .min_chunk = 4,
                                   .inject = &inject});
+  EXPECT_EQ(runner.shard_count(count), 4u);
+  inject.add_site({FaultSite::DeadlineOverrun, 2,
+                   test::shard_range(runner, count, 2).first + 9, 0});
   ResilientBatch stopped = runner.run_resilient(in, count);
   EXPECT_EQ(stopped.status, RunStatus::DeadlineExpired);
   return stopped.checkpoint;
@@ -293,7 +296,8 @@ TEST(CheckpointResume, GeometryMismatchIsStructuredNotWrong) {
   LccCompiled lcc = compile_lcc(nl);
   std::vector<ArenaProbe> probes;
   for (NetId po : nl.primary_outputs()) probes.push_back({lcc.net_var[po.value], 0});
-  const std::size_t count = 32;
+  // Four lane groups, so 2 and 4 threads split the run differently.
+  const std::size_t count = 4 * static_cast<std::size_t>(lcc.program.word_bits);
   const auto in = random_inputs(nl.primary_inputs().size(), count, 6);
   FaultInjector inject(2);
   inject.add_site({FaultSite::DeadlineOverrun, 0, 10, 0});

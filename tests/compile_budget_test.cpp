@@ -143,9 +143,9 @@ TEST(Budget, EachCompilerThrowsPredictedBudgetExceeded) {
       EXPECT_NE(std::string(e.what()).find("arena words"), std::string::npos);
     }
   };
-  expect_throw([&] { (void)compile_lcc(nl, false, 32, guard); },
+  expect_throw([&] { (void)compile_lcc(nl, 32, guard); },
                EngineKind::ZeroDelayLcc);
-  expect_throw([&] { (void)compile_pcset(nl, {}, false, 32, guard); },
+  expect_throw([&] { (void)compile_pcset(nl, {}, 32, guard); },
                EngineKind::PCSet);
   expect_throw(
       [&] {
@@ -168,12 +168,12 @@ TEST(Budget, GenerousBudgetCompilesAndMatchesUnguarded) {
                              nullptr};
     switch (kind) {
       case EngineKind::ZeroDelayLcc: {
-        const LccCompiled g = compile_lcc(nl, false, 32, guard);
+        const LccCompiled g = compile_lcc(nl, 32, guard);
         EXPECT_EQ(g.program.ops.size(), compile_lcc(nl).program.ops.size());
         break;
       }
       case EngineKind::PCSet: {
-        const PCSetCompiled g = compile_pcset(nl, {}, false, 32, guard);
+        const PCSetCompiled g = compile_pcset(nl, {}, 32, guard);
         EXPECT_EQ(g.program.ops.size(), compile_pcset(nl).program.ops.size());
         break;
       }

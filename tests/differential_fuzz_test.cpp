@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "core/packed_runner.h"
 #include "core/simulator.h"
 #include "core/width_dispatch.h"
 #include "gen/random_dag.h"
@@ -20,6 +19,7 @@
 #include "harness/vectors.h"
 #include "native/native_sim.h"
 #include "netlist/bench_io.h"
+#include "obs/metrics.h"
 #include "oracle/oracle.h"
 
 namespace udsim {
@@ -169,9 +169,11 @@ TEST(DifferentialFuzz, NativeBackendAgreesWithOracleOnRandomCircuits) {
 
 TEST(DifferentialFuzz, WideLanesAgreeWithOracleOnRandomCircuits) {
   // Wide-word leg (DESIGN.md §5j): the compiled engines at every dispatched
-  // lane width — and the packed LCC runner, which fills every lane with an
-  // independent vector — must reproduce the oracle stream on seeded random
-  // DAGs. Failures name the seed, the width, and the full netlist.
+  // lane width must reproduce the oracle stream on seeded random DAGs —
+  // run_batch packs the LCC and PC-set programs one vector per lane, so
+  // each of their runs is a single partially filled (tail) pass, here also
+  // sharded across a seed-dependent thread count. Failures name the seed,
+  // the width, and the full netlist.
   const std::vector<int> widths = supported_widths();
   constexpr EngineKind kWideEngines[] = {
       EngineKind::ZeroDelayLcc, EngineKind::PCSet, EngineKind::ParallelCombined};
@@ -205,10 +207,20 @@ TEST(DifferentialFuzz, WideLanesAgreeWithOracleOnRandomCircuits) {
             << "-bit lanes disagrees with oracle\n"
             << describe(seed, params, nl);
       }
-      const PackedRunResult pr = run_packed_lcc(nl, flat, w);
-      ASSERT_EQ(pr.values, expect)
-          << "packed LCC at " << w << "-bit lanes disagrees with oracle\n"
-          << describe(seed, params, nl);
+      for (EngineKind k : {EngineKind::ZeroDelayLcc, EngineKind::PCSet}) {
+        MetricsRegistry reg;
+        const auto sim = make_simulator(nl, k, w);
+        const BatchResult br = sim->run_batch(
+            flat, BatchRunOptions{.num_threads = 1 + static_cast<unsigned>(seed % 4),
+                                  .metrics = &reg});
+        ASSERT_EQ(br.values, expect)
+            << "packed " << engine_name(k) << " at " << w
+            << "-bit lanes disagrees with oracle\n"
+            << describe(seed, params, nl);
+        ASSERT_EQ(reg.counter("exec.passes").value(),
+                  (vectors + static_cast<std::size_t>(w) - 1) /
+                      static_cast<std::size_t>(w));
+      }
     }
   }
 }

@@ -48,7 +48,7 @@ TEST(Lcc, PackedModeSimulates32StreamsAtOnce) {
   p.depth = 9;
   p.seed = 3;
   const Netlist nl = random_dag(p);
-  const LccCompiled c = compile_lcc(nl, /*packed=*/true);
+  const LccCompiled c = compile_lcc(nl);
   KernelRunner<std::uint32_t> packed(c.program);
   // 32 scalar references.
   std::vector<std::unique_ptr<LccSim<>>> scalars;

@@ -3,13 +3,15 @@
 // The counters are exact by construction — a straight-line program executes
 // every op on every pass — so they double as correctness oracles:
 //
-//   1. exec.ops == compile.ops × sim.vectors, for random DAGs and for every
-//      ISCAS-85 profile, across the compiled engines.
+//   1. exec.ops == compile.ops × exec.passes, for random DAGs and for every
+//      ISCAS-85 profile, across the compiled engines; step() runs one vector
+//      per pass, lane-packed batches ceil(vectors / word_bits) passes.
 //   2. Shift-site ledger: retained + eliminated == total, the total matches
 //      an independent structural recomputation from the netlist, and the
 //      retained count matches the emitter's own tally.
 //   3. run_batch payload counters are identical for 1, 2 and 5 worker
-//      threads (seam-replay cost is attributed to batch.* separately).
+//      threads (seam-replay cost is attributed to batch.* separately; the
+//      lane-packed LCC and PC-set batches have no seams at all).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -59,7 +61,8 @@ void check_step_identity(const Netlist& nl, EngineKind kind, std::size_t count,
   ASSERT_TRUE(snap.contains("compile.ops")) << engine_name(kind);
   ASSERT_TRUE(snap.contains("exec.ops")) << engine_name(kind);
   EXPECT_EQ(snap.at("sim.vectors"), count) << engine_name(kind);
-  EXPECT_EQ(snap.at("exec.ops"), snap.at("compile.ops") * count)
+  EXPECT_EQ(snap.at("exec.passes"), count) << engine_name(kind);
+  EXPECT_EQ(snap.at("exec.ops"), snap.at("compile.ops") * snap.at("exec.passes"))
       << engine_name(kind) << " on " << nl.name();
   // Every op writes its destination word exactly once per pass.
   EXPECT_EQ(snap.at("exec.words_written"), snap.at("compile.ops") * count);
@@ -228,6 +231,12 @@ TEST(MetricsInvariant, BatchCountersAreThreadCountInvariant) {
     const CompileGuard guard{CompileBudget{}, nullptr, &compile_reg};
     auto sim = make_simulator(nl, kind, guard);
     const std::uint64_t static_ops = compile_reg.snapshot().at("compile.ops");
+    // LCC and PC-set pack one vector per lane: 90 vectors are 3 lane groups
+    // at 32 bits, and shards are whole groups with no seam replay.
+    const bool packs = kind != EngineKind::ParallelCombined;
+    const std::uint64_t lanes =
+        packs ? static_cast<std::uint64_t>(sim->compiled_program()->word_bits) : 1;
+    const std::uint64_t passes = (kVectors + lanes - 1) / lanes;
 
     std::map<std::string, std::uint64_t> reference;
     for (unsigned threads : {1u, 2u, 5u}) {
@@ -237,7 +246,8 @@ TEST(MetricsInvariant, BatchCountersAreThreadCountInvariant) {
       EXPECT_EQ(r.vectors, kVectors);
       const auto snap = filtered_snapshot(reg);
       EXPECT_EQ(snap.at("sim.vectors"), kVectors) << engine_name(kind);
-      EXPECT_EQ(snap.at("exec.ops"), static_ops * kVectors) << engine_name(kind);
+      EXPECT_EQ(snap.at("exec.passes"), passes) << engine_name(kind);
+      EXPECT_EQ(snap.at("exec.ops"), static_ops * passes) << engine_name(kind);
       if (threads == 1) {
         reference = snap;
       } else {
@@ -248,9 +258,11 @@ TEST(MetricsInvariant, BatchCountersAreThreadCountInvariant) {
       const auto full = reg.snapshot();
       EXPECT_EQ(full.at("batch.runs"), 1u);
       if (threads == 5) {
-        EXPECT_EQ(full.at("batch.shards"), 5u);
-        EXPECT_EQ(full.at("batch.seam_vectors"), 4u);
-        EXPECT_EQ(full.at("batch.seam_ops"), static_ops * 4);
+        const std::uint64_t shards = packs ? passes : 5;
+        const std::uint64_t seams = packs ? 0 : shards - 1;
+        EXPECT_EQ(full.at("batch.shards"), shards) << engine_name(kind);
+        EXPECT_EQ(reg.counter("batch.seam_vectors").value(), seams);
+        EXPECT_EQ(reg.counter("batch.seam_ops").value(), static_ops * seams);
       }
     }
   }

@@ -119,6 +119,11 @@ struct MdCase {
   ParallelOptions options;
 };
 
+// gtest prints the parameter into each listed test name. The default
+// printer dumps the struct's bytes, label pointer included, and that
+// address moves with every process, so the names would never repeat.
+void PrintTo(const MdCase& c, std::ostream* os) { *os << c.label; }
+
 class MultiDelayParallel : public ::testing::TestWithParam<MdCase> {};
 
 TEST_P(MultiDelayParallel, WaveformsMatchOracle) {

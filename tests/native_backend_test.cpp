@@ -102,8 +102,8 @@ void expect_native_matches_ir_both_widths(const Netlist& nl,
     popts.trimming = true;
     popts.shift_elim = ShiftElim::PathTracing;
     popts.word_bits = wb;
-    const Program lcc = compile_lcc(nl, /*packed=*/false, wb).program;
-    const Program pcset = compile_pcset(nl, {}, /*packed=*/false, wb).program;
+    const Program lcc = compile_lcc(nl, wb).program;
+    const Program pcset = compile_pcset(nl, {}, wb).program;
     const Program parallel = compile_parallel(nl, popts).program;
     if (wb == 32) {
       expect_native_matches_ir<std::uint32_t>(lcc, circuit + "-lcc" + suffix);

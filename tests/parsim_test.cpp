@@ -41,6 +41,11 @@ struct ParCase {
   ParallelOptions options;
 };
 
+// gtest prints the parameter into each listed test name. The default
+// printer dumps the struct's bytes, label pointer included, and that
+// address moves with every process, so the names would never repeat.
+void PrintTo(const ParCase& c, std::ostream* os) { *os << c.label; }
+
 class ParallelEquivalence : public ::testing::TestWithParam<ParCase> {};
 
 void check_waveforms(const Netlist& nl, const ParallelOptions& options,

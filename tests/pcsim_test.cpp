@@ -134,7 +134,7 @@ TEST(PCSetSim, DataParallelLanesMatchScalarStreams) {
   p.depth = 9;
   p.seed = 6;
   const Netlist nl = random_dag(p);
-  const PCSetCompiled c = compile_pcset(nl, {}, /*packed=*/true);
+  const PCSetCompiled c = compile_pcset(nl);
   KernelRunner<std::uint32_t> packed(c.program);
   std::vector<std::unique_ptr<PCSetSim<>>> scalars;
   for (int l = 0; l < 32; ++l) {

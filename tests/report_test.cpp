@@ -132,17 +132,20 @@ TEST_F(BenchReportFixture, CoversCircuitsTimesEnginesWithSchema) {
   ASSERT_EQ(r.circuits.size(), 2u);
   for (const BenchCircuitResult& c : r.circuits) {
     // 3 sequential engines + 1 batch row (ParallelCombined @ 2 threads) +
-    // one lcc-packed row per available lane width (DESIGN.md §5j).
-    ASSERT_EQ(c.engines.size(), 4u + widths);
+    // one zero-delay-lcc row per available lane width beyond the default
+    // 32 bits the first row already ran at (DESIGN.md §5j).
+    ASSERT_EQ(c.engines.size(), 3u + widths);
     EXPECT_GT(c.gates, 0u);
     EXPECT_EQ(c.engines[0].engine, "zero-delay-lcc");
     EXPECT_EQ(c.engines[1].engine, "pcset");
     EXPECT_EQ(c.engines[2].engine, "parallel-combined");
     EXPECT_EQ(c.engines[3].engine, "parallel-combined");
     EXPECT_EQ(c.engines[3].threads, 2u);
-    for (std::size_t i = 0; i < widths; ++i) {
-      EXPECT_EQ(c.engines[4 + i].engine, "lcc-packed");
-      EXPECT_EQ(c.engines[4 + i].word_bits, supported_widths()[i]);
+    EXPECT_EQ(c.engines[0].word_bits, 32);
+    for (std::size_t i = 1; i < widths; ++i) {
+      EXPECT_EQ(c.engines[3 + i].engine, "zero-delay-lcc");
+      EXPECT_EQ(c.engines[3 + i].threads, 1u);
+      EXPECT_EQ(c.engines[3 + i].word_bits, supported_widths()[i]);
     }
   }
   const JsonValue doc = JsonValue::parse(r.to_json());
@@ -164,25 +167,17 @@ TEST_F(BenchReportFixture, ExactCountersObeyTheCompiledInvariants) {
       ASSERT_TRUE(e.exact.contains("exec.ops")) << c.circuit << "/" << e.engine;
       ASSERT_TRUE(e.exact.contains("compile.ops"));
       ASSERT_TRUE(e.exact.contains("sim.vectors"));
-      if (e.engine == "lcc-packed") {
-        // Packed rows retire word_bits vectors per executor pass, so the
-        // pass count — not the vector count — scales the dynamic cost.
-        const std::uint64_t passes =
-            (kVectors + static_cast<std::uint64_t>(e.word_bits) - 1) /
-            static_cast<std::uint64_t>(e.word_bits);
-        EXPECT_EQ(e.exact.at("sim.vectors"), passes)
-            << c.circuit << " packed w" << e.word_bits;
-        EXPECT_EQ(e.exact.at("exec.ops"), e.exact.at("compile.ops") * passes)
-            << c.circuit << " packed w" << e.word_bits;
-        EXPECT_EQ(e.exact.at("packed.vectors"), kVectors);
-        EXPECT_EQ(e.exact.at("packed.lanes"),
-                  static_cast<std::uint64_t>(e.word_bits));
-        continue;
-      }
+      // LCC and PC-set rows retire word_bits vectors per executor pass, so
+      // the pass count — not the vector count — scales the dynamic cost.
+      const bool packs = e.engine == "zero-delay-lcc" || e.engine == "pcset";
+      const std::uint64_t lanes =
+          packs ? static_cast<std::uint64_t>(e.word_bits) : 1;
       EXPECT_EQ(e.exact.at("sim.vectors"), kVectors);
+      EXPECT_EQ(e.exact.at("exec.passes"), (kVectors + lanes - 1) / lanes)
+          << c.circuit << "/" << e.engine << " w" << e.word_bits;
       // The compiled-simulation law: dynamic cost = static cost × passes.
       EXPECT_EQ(e.exact.at("exec.ops"),
-                e.exact.at("compile.ops") * kVectors)
+                e.exact.at("compile.ops") * e.exact.at("exec.passes"))
           << c.circuit << "/" << e.engine << "@" << e.threads;
       EXPECT_TRUE(e.exact.contains("compile.peak_bytes"));
       EXPECT_GT(e.exact.at("compile.peak_bytes"), 0u);
@@ -197,8 +192,9 @@ TEST_F(BenchReportFixture, CheckFlagsDisappearedWidthRow) {
   BenchReport lost = report();
   const JsonValue baseline = JsonValue::parse(report().to_json());
   auto& engines = lost.circuits.front().engines;
-  ASSERT_EQ(engines.back().engine, "lcc-packed");
-  engines.pop_back();  // drop the widest packed row
+  ASSERT_EQ(engines.back().engine, "zero-delay-lcc");
+  ASSERT_EQ(engines.back().word_bits, supported_widths().back());
+  engines.pop_back();  // drop the widest width row
   const auto violations = check_bench_report(lost, baseline);
   ASSERT_FALSE(violations.empty());
   EXPECT_NE(violations[0].find("coverage"), std::string::npos);

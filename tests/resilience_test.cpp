@@ -23,6 +23,7 @@
 #include "resilience/fault_injection.h"
 #include "resilience/program_validator.h"
 #include "resilience/resilient_run.h"
+#include "test_util.h"
 
 namespace udsim {
 namespace {
@@ -37,18 +38,6 @@ Netlist test_dag(std::uint64_t seed) {
   p.seed = seed;
   p.reach = 1.6;
   return random_dag(p);
-}
-
-std::vector<std::uint64_t> random_inputs(std::size_t pis, std::size_t count,
-                                         std::uint64_t seed) {
-  RandomVectorSource src(pis, seed);
-  std::vector<Bit> row(pis);
-  std::vector<std::uint64_t> in(pis * count);
-  for (std::size_t v = 0; v < count; ++v) {
-    src.next(row);
-    for (std::size_t i = 0; i < pis; ++i) in[v * pis + i] = row[i];
-  }
-  return in;
 }
 
 std::vector<Bit> bit_stream(std::size_t pis, std::size_t count,
@@ -126,7 +115,7 @@ TEST(CancelToken, CancelledExceptionCarriesStructuredFields) {
 TEST(Cancellation, KernelRunnerStopsBetweenPassesWithConsistentArena) {
   const Netlist nl = test_dag(1);
   const LccCase c = lcc_case(nl);
-  const auto in = random_inputs(nl.primary_inputs().size(), 4, 11);
+  const auto in = bit_stream(nl.primary_inputs().size(), 4, 11);
   CancelToken token;
   KernelRunner<std::uint32_t> runner(c.program);
   runner.set_cancel(&token);
@@ -175,12 +164,12 @@ TEST(Cancellation, GuardedCompilersStopAtPhaseBoundaries) {
   token.request_cancel();
   CompileGuard guard;
   guard.cancel = &token;
-  EXPECT_THROW((void)compile_lcc(nl, /*packed=*/true, 32, guard), Cancelled);
-  EXPECT_THROW((void)compile_pcset(nl, std::span<const NetId>{}, true, 32, guard),
+  EXPECT_THROW((void)compile_lcc(nl, 32, guard), Cancelled);
+  EXPECT_THROW((void)compile_pcset(nl, std::span<const NetId>{}, 32, guard),
                Cancelled);
   EXPECT_THROW((void)compile_parallel(nl, {}, guard), Cancelled);
   try {
-    (void)compile_lcc(nl, true, 32, guard);
+    (void)compile_lcc(nl, 32, guard);
   } catch (const Cancelled& e) {
     EXPECT_EQ(e.site(), "compile.levelize");
   }
@@ -211,7 +200,7 @@ TEST(BatchResilience, PreCancelledRunReturnsImmediatelyWithEmptyCheckpoint) {
   const Netlist nl = test_dag(5);
   const LccCase c = lcc_case(nl);
   const std::size_t count = 40;
-  const auto in = random_inputs(nl.primary_inputs().size(), count, 55);
+  const auto in = bit_stream(nl.primary_inputs().size(), count, 55);
   CancelToken token;
   token.request_cancel();
   MetricsRegistry reg;
@@ -286,15 +275,17 @@ void expect_recovery(FaultSite site, unsigned fail_attempts,
                      std::uint64_t want_quarantined) {
   const Netlist nl = test_dag(7);
   const LccCase c = lcc_case(nl);
-  const std::size_t count = 48;
-  const auto in = random_inputs(nl.primary_inputs().size(), count, 77);
+  const std::size_t count = 96;
+  const auto in = bit_stream(nl.primary_inputs().size(), count, 77);
   BatchRunner clean(c.program, c.probes,
                     BatchOptions{.num_threads = 3, .min_chunk = 4});
+  ASSERT_EQ(clean.shard_count(count), 3u);
   const auto expect = clean.run(in, count);
 
-  // 48 vectors over 3 shards: shard 1 spans [16, 32). AllocFail is probed
-  // once at shard entry (vector = shard begin); the others fire mid-pass.
-  const std::size_t site_vector = site == FaultSite::AllocFail ? 16 : 20;
+  // 96 vectors over 3 shards of whole lane groups. AllocFail is probed once
+  // at shard entry (vector = shard begin); the others fire mid-group.
+  const std::size_t begin = test::shard_range(clean, count, 1).first;
+  const std::size_t site_vector = site == FaultSite::AllocFail ? begin : begin + 4;
   FaultInjector inject(42);
   for (unsigned a = 0; a < fail_attempts; ++a) {
     inject.add_site({site, 1, site_vector, a});
@@ -341,7 +332,7 @@ TEST(BatchResilience, QuarantineReplayFailurePropagates) {
   const Netlist nl = test_dag(8);
   const LccCase c = lcc_case(nl);
   const std::size_t count = 32;
-  const auto in = random_inputs(nl.primary_inputs().size(), count, 88);
+  const auto in = bit_stream(nl.primary_inputs().size(), count, 88);
   FaultInjector inject(9);
   // Fail every attempt including the sequential quarantine replay (attempt
   // retry_limit + 1 = 2): a genuine unrecoverable error.
@@ -356,7 +347,7 @@ TEST(BatchResilience, InjectionRunsAreDeterministicGivenTheSeed) {
   const Netlist nl = test_dag(9);
   const LccCase c = lcc_case(nl);
   const std::size_t count = 64;
-  const auto in = random_inputs(nl.primary_inputs().size(), count, 99);
+  const auto in = bit_stream(nl.primary_inputs().size(), count, 99);
   const auto run_once = [&](std::uint64_t seed, std::uint64_t* retries,
                             std::uint64_t* fired) {
     FaultInjector inject(seed);
@@ -387,14 +378,15 @@ TEST(BatchResilience, MidRunCancelProducesAResumableCheckpoint) {
   const Netlist nl = test_dag(10);
   const LccCase c = lcc_case(nl);
   const std::size_t count = 60;
-  const auto in = random_inputs(nl.primary_inputs().size(), count, 1010);
+  const auto in = bit_stream(nl.primary_inputs().size(), count, 1010);
   BatchRunner clean(c.program, c.probes,
                     BatchOptions{.num_threads = 2, .min_chunk = 8});
   const auto expect = clean.run(in, count);
 
   FaultInjector inject(3);
   inject.add_site({FaultSite::DeadlineOverrun, 0, 7, 0});
-  inject.add_site({FaultSite::DeadlineOverrun, 1, 40, 0});
+  inject.add_site({FaultSite::DeadlineOverrun, 1,
+                   test::shard_range(clean, count, 1).first + 8, 0});
   BatchRunner first(c.program, c.probes,
                     BatchOptions{.num_threads = 2, .min_chunk = 8,
                                  .inject = &inject});
@@ -416,6 +408,56 @@ TEST(BatchResilience, MidRunCancelProducesAResumableCheckpoint) {
       second.run_resilient(in, count, &stopped.checkpoint);
   EXPECT_EQ(resumed.status, RunStatus::Complete);
   EXPECT_EQ(resumed.values, expect);
+}
+
+TEST(BatchResilience, MidGroupStopRunsExactlyTheLanesBeforeIt) {
+  // A lane-packed pass settles a whole lane group at once, yet a stop at a
+  // vector inside a group must act as in a scalar run: the vectors before
+  // it complete, it and those after it do not, and the resumed run is
+  // bit-identical to an uninterrupted one.
+  const Netlist nl = test_dag(16);
+  for (EngineKind kind : {EngineKind::ZeroDelayLcc, EngineKind::PCSet}) {
+    const auto sim = make_simulator(nl, kind);
+    const Program& program = *sim->compiled_program();
+    const std::vector<ArenaProbe> probes = sim->output_probes();
+    const std::size_t count = 100;
+    const auto in = bit_stream(nl.primary_inputs().size(), count, 1616);
+    const BatchOptions base{.num_threads = 2, .min_chunk = 8};
+    BatchRunner clean(program, probes, base);
+    const std::size_t lanes = clean.lanes_per_pass();
+    ASSERT_EQ(lanes, static_cast<std::size_t>(program.word_bits));
+    ASSERT_EQ(clean.shard_count(count), 2u);
+    const auto expect = clean.run(in, count);
+
+    // Stop 5 vectors into shard 1's first lane group.
+    const std::size_t begin = test::shard_range(clean, count, 1).first;
+    const std::size_t stop_at = begin + 5;
+    FaultInjector inject(4);
+    inject.add_site({FaultSite::DeadlineOverrun, 1, stop_at, 0});
+    MetricsRegistry reg;
+    BatchOptions opts = base;
+    opts.metrics = &reg;
+    opts.inject = &inject;
+    BatchRunner first(program, probes, opts);
+    const ResilientBatch stopped = first.run_resilient(in, count);
+    ASSERT_EQ(stopped.status, RunStatus::DeadlineExpired) << engine_name(kind);
+    EXPECT_EQ(inject.fired(FaultSite::DeadlineOverrun), 1u);
+    EXPECT_EQ(stopped.checkpoint.shards.at(1).next, stop_at);
+    // Shard 0 ran its whole groups; shard 1 one pass over 5 lanes.
+    EXPECT_EQ(stopped.vectors_done, stop_at);
+    EXPECT_EQ(reg.counter("sim.vectors").value(), stop_at);
+    EXPECT_EQ(reg.counter("exec.passes").value(), begin / lanes + 1);
+    const std::size_t cols = probes.size();
+    for (std::size_t i = 0; i < stop_at * cols; ++i) {
+      ASSERT_EQ(stopped.values[i], expect[i]) << engine_name(kind) << " bit " << i;
+    }
+
+    BatchRunner second(program, probes, base);
+    const ResilientBatch resumed =
+        second.run_resilient(in, count, &stopped.checkpoint);
+    EXPECT_EQ(resumed.status, RunStatus::Complete);
+    EXPECT_EQ(resumed.values, expect) << engine_name(kind);
+  }
 }
 
 // ---- program validator -----------------------------------------------------

@@ -3,12 +3,30 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
+#include "core/batch_runner.h"
 #include "core/waveform.h"
 #include "netlist/netlist.h"
 
 namespace udsim::test {
+
+/// [begin, end) of shard `s` when `runner` splits `count` vectors: shards
+/// are runs of whole lane groups (lanes_per_pass() vectors each), spread
+/// as evenly as the group count allows over shard_count(count) shards.
+inline std::pair<std::size_t, std::size_t> shard_range(const BatchRunner& runner,
+                                                       std::size_t count,
+                                                       std::size_t s) {
+  const std::size_t lanes = runner.lanes_per_pass();
+  const std::size_t groups = (count + lanes - 1) / lanes;
+  const std::size_t shards = runner.shard_count(count);
+  const std::size_t quot = groups / shards;
+  const std::size_t rem = groups % shards;
+  const std::size_t begin = (s * quot + std::min(s, rem)) * lanes;
+  return {begin, std::min(count, begin + (quot + (s < rem ? 1 : 0)) * lanes)};
+}
 
 /// Paper Figs. 2/4/10: A,B -> AND -> D; D,C -> AND -> E.
 inline Netlist fig4_network() {

@@ -158,7 +158,7 @@ TEST(WidthDispatch, KernelRunnerRejectsMismatchedProgramWithDiagnostic) {
   // structured ProgramWordSize record (historically a bare string).
   const ScopedEnv clear("UDSIM_FORCE_WIDTH", nullptr);
   const Netlist nl = make_iscas85_like("c432");
-  const LccCompiled compiled = compile_lcc(nl, /*packed=*/false, 64);
+  const LccCompiled compiled = compile_lcc(nl, 64);
   ASSERT_EQ(compiled.program.word_bits, 64);
   Diagnostics diag;
   try {

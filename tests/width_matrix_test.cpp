@@ -2,9 +2,9 @@
 // SIMD-wide executors: every ISCAS-85 profile × production compiled engine
 // × dispatched lane width must be bit-identical to the interpreted oracle
 // (and hence to the historical 32-bit path), with the exact-counter
-// invariant exec.ops == compile.ops × vectors holding at every width. The
-// packed LCC runner must reproduce the same rows while retiring word_bits
-// vectors per pass — lane independence at every width.
+// invariant exec.ops == compile.ops × exec.passes holding at every width.
+// run_batch packs the LCC and PC-set programs word_bits vectors per pass;
+// those rows must equal the scalar ones — lane independence at every width.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/kernel_runner.h"
-#include "core/packed_runner.h"
 #include "core/simulator.h"
 #include "core/width_dispatch.h"
 #include "gen/iscas_profiles.h"
@@ -28,6 +27,14 @@ namespace {
 
 constexpr EngineKind kCompiledEngines[] = {
     EngineKind::ZeroDelayLcc, EngineKind::PCSet, EngineKind::ParallelCombined};
+
+/// Executor passes a batch of `vectors` takes: one per lane group for the
+/// lane-packed LCC and PC-set programs, one per vector otherwise.
+std::uint64_t expected_passes(EngineKind kind, std::size_t vectors, int w) {
+  const std::size_t lanes =
+      kind == EngineKind::ParallelCombined ? 1 : static_cast<std::size_t>(w);
+  return (vectors + lanes - 1) / lanes;
+}
 
 std::vector<Bit> make_stream(const Netlist& nl, std::size_t count,
                              std::uint64_t seed) {
@@ -86,7 +93,9 @@ TEST_P(WidthMatrixTest, EveryEngineAndWidthMatchesTheOracle) {
       ASSERT_TRUE(snap.contains("compile.ops"));
       EXPECT_EQ(snap.at("sim.vectors"), kVectors)
           << engine_name(kind) << " @ " << w;
-      EXPECT_EQ(snap.at("exec.ops"), snap.at("compile.ops") * kVectors)
+      EXPECT_EQ(snap.at("exec.passes"), expected_passes(kind, kVectors, w))
+          << engine_name(kind) << " @ " << w;
+      EXPECT_EQ(snap.at("exec.ops"), snap.at("compile.ops") * snap.at("exec.passes"))
           << engine_name(kind) << " @ " << w;
       EXPECT_EQ(snap.at("dispatch.width"), static_cast<std::uint64_t>(w));
     }
@@ -119,8 +128,9 @@ TEST(WidthMatrix, WideBatchIsThreadCountInvariant) {
 }
 
 TEST(WidthMatrix, PackedRunnerMatchesScalarRowsAtEveryWidth) {
-  // Lane independence: word_bits concurrent vectors per pass settle to the
-  // same rows the scalar path produces one vector at a time.
+  // Lane independence: run_batch settles word_bits concurrent vectors per
+  // LCC / PC-set pass, and the rows equal the ones the scalar step() path
+  // produces one vector at a time (and the oracle's).
   ::unsetenv("UDSIM_FORCE_WIDTH");
   for (const char* name : {"c432", "c880", "c1355"}) {
     const Netlist nl = make_iscas85_like(name);
@@ -129,20 +139,33 @@ TEST(WidthMatrix, PackedRunnerMatchesScalarRowsAtEveryWidth) {
     constexpr std::size_t kVectors = 70;
     const std::vector<Bit> flat = make_stream(nl, kVectors, 0x77ull);
     const std::vector<Bit> expect = oracle_rows(nl, flat, kVectors);
+    const std::size_t pis = nl.primary_inputs().size();
     for (int w : supported_widths()) {
-      MetricsRegistry reg;
-      const PackedRunResult r = run_packed_lcc(nl, flat, w, &reg);
-      EXPECT_EQ(r.word_bits, w);
-      EXPECT_EQ(r.vectors, kVectors);
-      EXPECT_EQ(r.passes,
-                (kVectors + static_cast<std::size_t>(w) - 1) /
-                    static_cast<std::size_t>(w))
-          << "one pass settles word_bits vectors";
-      ASSERT_EQ(r.values, expect)
-          << name << " packed @ " << w << "-bit lanes diverges";
-      EXPECT_EQ(reg.counter("packed.lanes").value(),
-                static_cast<std::uint64_t>(w));
-      EXPECT_EQ(reg.counter("packed.vectors").value(), kVectors);
+      for (EngineKind kind : {EngineKind::ZeroDelayLcc, EngineKind::PCSet}) {
+        MetricsRegistry reg;
+        const auto sim = make_simulator(nl, kind, w);
+        sim->set_metrics(&reg);
+        const BatchResult r = sim->run_batch(flat, 1);
+        EXPECT_EQ(r.vectors, kVectors);
+        EXPECT_EQ(reg.counter("exec.passes").value(),
+                  expected_passes(kind, kVectors, w))
+            << "one pass settles word_bits vectors";
+        EXPECT_EQ(reg.counter("sim.vectors").value(), kVectors);
+        ASSERT_EQ(r.values, expect)
+            << name << " " << engine_name(kind) << " packed @ " << w
+            << "-bit lanes diverges";
+
+        sim->set_metrics(nullptr);
+        std::vector<Bit> scalar;
+        for (std::size_t v = 0; v < kVectors; ++v) {
+          sim->step(std::span<const Bit>(flat).subspan(v * pis, pis));
+          for (NetId po : nl.primary_outputs()) {
+            scalar.push_back(sim->final_value(po));
+          }
+        }
+        ASSERT_EQ(r.values, scalar)
+            << name << " " << engine_name(kind) << " @ " << w;
+      }
     }
   }
 }
@@ -152,7 +175,7 @@ TEST(WidthMatrix, PackedRunnerMatchesScalarRowsAtEveryWidth) {
 template <class Word>
 void roundtrip_arena_at(const Netlist& nl) {
   const int bits = static_cast<int>(sizeof(Word) * 8);
-  const LccCompiled c = compile_lcc(nl, /*packed=*/false, bits);
+  const LccCompiled c = compile_lcc(nl, bits);
   KernelRunner<Word> live(c.program);
   RandomVectorSource src(nl.primary_inputs().size(), 0x42);
   std::vector<Bit> row(nl.primary_inputs().size());
