@@ -2,64 +2,44 @@
 // model says the number of words per bit-field drives runtime ("if the
 // width of the bit-field expanded from 32 bits to 33, the amount of
 // simulation time could more than double"); 64-bit words halve the word
-// count of deep circuits. Built on google-benchmark.
-#include <benchmark/benchmark.h>
+// count of deep circuits. Reports vectors/second for the unoptimized
+// parallel program compiled at w32 and at w64.
+#include <cstdio>
+#include <iostream>
 
-#include "core/kernel_runner.h"
-#include "gen/iscas_profiles.h"
-#include "harness/vectors.h"
+#include "bench_util.h"
+#include "harness/table.h"
 #include "parsim/parallel_sim.h"
 
-namespace {
-
-using namespace udsim;
-
-template <class Word>
-void run_parallel(benchmark::State& state, const std::string& name) {
-  const Netlist nl = make_iscas85_like(name);
-  ParallelOptions o;
-  o.word_bits = static_cast<int>(sizeof(Word) * 8);
-  const ParallelCompiled c = compile_parallel(nl, o);
-  KernelRunner<Word> runner(c.program);
-  const std::size_t pis = nl.primary_inputs().size();
-  constexpr std::size_t kVectors = 64;
-  RandomVectorSource src(pis, 7);
-  std::vector<Bit> v(pis);
-  std::vector<Word> in(pis * kVectors);
-  for (std::size_t k = 0; k < kVectors; ++k) {
-    src.next(v);
-    for (std::size_t i = 0; i < pis; ++i) in[k * pis + i] = v[i];
-  }
-  std::size_t k = 0;
-  for (auto _ : state) {
-    runner.run(std::span<const Word>(in.data() + k * pis, pis));
-    k = (k + 1) % kVectors;
-  }
-  state.counters["field_words"] =
-      static_cast<double>(c.stats.field_words_max);
-  state.counters["ops"] = static_cast<double>(c.stats.total_ops);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-
-void register_all() {
-  for (const IscasProfile& p : iscas85_profiles()) {
-    benchmark::RegisterBenchmark(("parallel_w32/" + p.name).c_str(),
-                                 [n = p.name](benchmark::State& s) {
-                                   run_parallel<std::uint32_t>(s, n);
-                                 });
-    benchmark::RegisterBenchmark(("parallel_w64/" + p.name).c_str(),
-                                 [n = p.name](benchmark::State& s) {
-                                   run_parallel<std::uint64_t>(s, n);
-                                 });
-  }
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  register_all();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  using namespace udsim;
+  using namespace udsim::bench;
+  const BenchArgs args = BenchArgs::parse(argc, argv);
+  print_header("Ablation A", "parallel technique, 32- vs 64-bit words", args,
+               "throughput in vectors per second");
+
+  Table table({"circuit", "words32", "words64", "ops32", "ops64", "w32 vec/s",
+               "w64 vec/s", "w64/w32"});
+  for (const std::string& name : args.circuit_names()) {
+    const Netlist nl = make_iscas85_like(name, args.seed);
+    const Workload w(nl.primary_inputs().size(), args.vectors, args.seed + 100);
+    ParallelOptions o;
+    o.word_bits = 32;
+    const ParallelCompiled c32 = compile_parallel(nl, o);
+    o.word_bits = 64;
+    const ParallelCompiled c64 = compile_parallel(nl, o);
+    const auto n = static_cast<double>(w.vectors);
+    const double vps32 =
+        n / time_compiled<std::uint32_t>(c32.program, w, args.trials);
+    const double vps64 =
+        n / time_compiled<std::uint64_t>(c64.program, w, args.trials);
+    table.add_row({name, std::to_string(c32.stats.field_words_max),
+                   std::to_string(c64.stats.field_words_max),
+                   std::to_string(c32.stats.total_ops),
+                   std::to_string(c64.stats.total_ops), Table::num(vps32, 0),
+                   Table::num(vps64, 0), Table::num(vps64 / vps32, 2)});
+  }
+  table.print(std::cout);
+  std::printf("\nwords = widest bit-field in words; ops = program size\n");
   return 0;
 }

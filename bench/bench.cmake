@@ -34,9 +34,7 @@ target_compile_definitions(bench_report PRIVATE
   UDSIM_DATA_DIR="${CMAKE_SOURCE_DIR}/data")
 
 udsim_bench(ablation_wordsize)
-target_link_libraries(ablation_wordsize PRIVATE benchmark::benchmark)
 udsim_bench(ablation_dataparallel)
-target_link_libraries(ablation_dataparallel PRIVATE benchmark::benchmark)
 
 # Smoke-test every harness binary under ctest (tiny workloads).
 add_test(NAME bench_fig19_smoke COMMAND fig19_techniques --vectors 40 --trials 1 --circuits c432,c499)
@@ -49,8 +47,8 @@ add_test(NAME bench_fig24_smoke COMMAND fig24_combined --vectors 40 --trials 1 -
 add_test(NAME bench_fault_smoke COMMAND ext_fault_parallel --vectors 32 --trials 1 --circuits c432)
 add_test(NAME bench_multidelay_smoke COMMAND ext_multidelay --vectors 40 --trials 1)
 add_test(NAME bench_emitted_c_smoke COMMAND ablation_emitted_c --vectors 40 --trials 1 --circuits c432)
-add_test(NAME bench_wordsize_smoke COMMAND ablation_wordsize --benchmark_filter=c432 --benchmark_min_time=0.01s)
-add_test(NAME bench_dataparallel_smoke COMMAND ablation_dataparallel --benchmark_filter=c432 --benchmark_min_time=0.01s)
+add_test(NAME bench_wordsize_smoke COMMAND ablation_wordsize --vectors 40 --trials 1 --circuits c432)
+add_test(NAME bench_dataparallel_smoke COMMAND ablation_dataparallel --vectors 40 --trials 1 --circuits c432)
 add_test(NAME bench_threads_smoke COMMAND ablation_threads --vectors 200 --trials 1 --circuits c432 --threads 1,2 --json ablation_threads_smoke.json)
 add_test(NAME bench_observability_smoke COMMAND ablation_observability --vectors 200 --trials 1 --circuits c432,c880 --json ablation_observability_smoke.json)
 add_test(NAME bench_resilience_smoke COMMAND ablation_resilience --vectors 200 --trials 1 --circuits c432,c880 --json ablation_resilience_smoke.json)

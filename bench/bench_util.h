@@ -165,11 +165,11 @@ inline const PaperRow* paper_row(const std::string& name) {
   return nullptr;
 }
 
-inline void print_header(const char* fig, const char* what, const BenchArgs& a) {
+inline void print_header(const char* fig, const char* what, const BenchArgs& a,
+                         const char* unit = "times in microseconds per vector") {
   std::printf("=== %s: %s ===\n", fig, what);
-  std::printf("(%zu vectors/run, median of %d trials, seed %llu; times in "
-              "microseconds per vector)\n\n",
-              a.vectors, a.trials, static_cast<unsigned long long>(a.seed));
+  std::printf("(%zu vectors/run, median of %d trials, seed %llu; %s)\n\n",
+              a.vectors, a.trials, static_cast<unsigned long long>(a.seed), unit);
 }
 
 }  // namespace udsim::bench

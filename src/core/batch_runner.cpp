@@ -93,10 +93,6 @@ void BatchRunner::run_shard(std::span<const Bit> inputs,
   FaultInjector* const inj = options_.inject;
   const std::uint64_t t0 = reg ? shard_now_ns() : 0;
   const std::size_t start = slot.next;
-  // Pool threads re-enter the request's trace scope from the explicitly
-  // threaded id, so the shard's span — opened next — tags itself with the
-  // "request" arg like the submitter-thread spans do.
-  RequestTraceScope trace_scope(options_.trace_id);
   // The span owns the batch.shard.ns / batch.shard.calls counters and the
   // trace event; it closes after account() runs, covering the whole shard.
   TraceSpan span(reg, "batch.shard");
@@ -377,7 +373,12 @@ ResilientBatch BatchRunner::run_resilient(std::span<const Bit> inputs,
   // by the shard boundaries, so the merge is free and deterministic. Shard
   // bodies never throw (run_shard_guarded converts failures into retries
   // and quarantine marks), so the pool barrier always completes cleanly.
+  // Pool threads cannot see the caller's thread-local RequestTraceScope, so
+  // each shard re-enters it: its batch.shard span then carries the same
+  // "request" arg as the caller's spans.
+  const RequestTraceId trace_id = current_request_trace_id();
   pool_.parallel_for(shards, [&](std::size_t s) {
+    RequestTraceScope trace_scope(trace_id);
     run_shard_guarded(inputs, s, slots[s], result.values);
   });
 

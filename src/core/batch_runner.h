@@ -63,7 +63,7 @@ struct BatchOptions {
   MetricsRegistry* metrics = nullptr;
   /// Engine-specific per-pass constants added per payload pass (see
   /// ExecCounters::attach extras).
-  std::vector<std::pair<std::string, std::uint64_t>> extra_pass_cost;
+  PassExtras extra_pass_cost;
   /// Cooperative stop: polled once per vector pass (one relaxed load + one
   /// branch; one dead branch when null). run() raises Cancelled; the
   /// resilient entry point returns a checkpoint instead.
@@ -74,12 +74,6 @@ struct BatchOptions {
   unsigned retry_limit = 2;
   /// Retry / quarantine / cancel events as structured records.
   Diagnostics* diag = nullptr;
-  /// Request-trace id of the service request this batch serves (0 = none).
-  /// Shards run on pool threads, which cannot see the submitter's
-  /// thread-local RequestTraceScope — this is the explicitly-threaded hop:
-  /// each shard re-enters the scope so its batch.shard span (and anything
-  /// beneath it) carries the "request" arg in the trace export.
-  std::uint64_t trace_id = 0;
 };
 
 /// How a resilient run ended.
@@ -139,7 +133,9 @@ class BatchRunner {
   /// bit-identical to an uninterrupted one. Throws CheckpointError
   /// (Kind::Geometry) when `resume` does not match this runner's geometry,
   /// and rethrows a shard's error only after its sequential quarantine
-  /// replay also failed.
+  /// replay also failed. Shards run inside the calling thread's
+  /// RequestTraceScope (obs/request_trace.h), so their spans carry the
+  /// caller's request id.
   [[nodiscard]] ResilientBatch run_resilient(
       std::span<const Bit> inputs, std::size_t num_vectors,
       const BatchCheckpoint* resume = nullptr);

@@ -74,9 +74,7 @@ class KernelRunner {
   /// pass bumps the exact per-pass execution counters (sim.vectors,
   /// exec.ops, exec.words_*, ... — see obs/pass_cost.h). `extra_per_pass`
   /// adds engine-specific per-pass constants under the given counter names.
-  void set_metrics(MetricsRegistry* reg,
-                   const std::vector<std::pair<std::string, std::uint64_t>>&
-                       extra_per_pass = {}) {
+  void set_metrics(MetricsRegistry* reg, const PassExtras& extra_per_pass = {}) {
     exec_ = ExecCounters::attach(reg, program_, extra_per_pass);
   }
 

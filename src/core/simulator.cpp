@@ -15,6 +15,24 @@
 
 namespace udsim {
 
+std::size_t batch_vector_count(const Netlist& nl, std::span<const Bit> vectors) {
+  const std::size_t pis = nl.primary_inputs().size();
+  if (pis == 0) {
+    if (!vectors.empty()) {
+      throw std::invalid_argument("vector stream of " +
+                                  std::to_string(vectors.size()) +
+                                  " bits given but the netlist has no primary inputs");
+    }
+    return 0;
+  }
+  if (vectors.size() % pis != 0) {
+    throw std::invalid_argument(
+        "vector stream size " + std::to_string(vectors.size()) +
+        " is not a multiple of the primary-input count " + std::to_string(pis));
+  }
+  return vectors.size() / pis;
+}
+
 std::string_view engine_name(EngineKind k) noexcept {
   switch (k) {
     case EngineKind::Event2:
@@ -58,12 +76,10 @@ const Program* batch_program(const LccSim<W>& e) { return &e.program(); }
 // Engine-specific per-pass constants for the batch layer's execution
 // counters (only the parallel technique has trimming extras).
 template <class Engine>
-std::vector<std::pair<std::string, std::uint64_t>> batch_extras(const Engine& e) {
-  if constexpr (requires { e.metric_extras(); }) {
-    return e.metric_extras();
-  } else {
-    return {};
-  }
+PassExtras batch_extras(const Engine&) { return {}; }
+template <class W>
+PassExtras batch_extras(const ParallelSim<W>& e) {
+  return trim_pass_extras(e.compiled());
 }
 
 template <class Engine>
@@ -74,25 +90,6 @@ std::vector<ArenaProbe> batch_probes(const Engine& e, const Netlist& nl) {
     for (NetId po : nl.primary_outputs()) probes.push_back(e.final_arena_probe(po));
   }
   return probes;
-}
-
-/// Validate the flat stream shape and return the vector count.
-std::size_t batch_vector_count(const Netlist& nl, std::span<const Bit> vectors) {
-  const std::size_t pis = nl.primary_inputs().size();
-  if (pis == 0) {
-    if (!vectors.empty()) {
-      throw std::invalid_argument("run_batch: stream of " +
-                                  std::to_string(vectors.size()) +
-                                  " bits given but the netlist has no primary inputs");
-    }
-    return 0;
-  }
-  if (vectors.size() % pis != 0) {
-    throw std::invalid_argument(
-        "run_batch: stream size " + std::to_string(vectors.size()) +
-        " is not a multiple of the primary-input count " + std::to_string(pis));
-  }
-  return vectors.size() / pis;
 }
 
 template <class Engine>
@@ -122,6 +119,9 @@ class EngineAdapter final : public Simulator {
   }
   [[nodiscard]] std::vector<ArenaProbe> output_probes() const override {
     return batch_probes(engine_, nl_);
+  }
+  [[nodiscard]] PassExtras pass_extras() const override {
+    return batch_extras(engine_);
   }
   [[nodiscard]] ProgramProfile program_profile(std::size_t top_k) const override {
     if constexpr (requires { attribution_for(engine_.compiled(), nl_); }) {
@@ -182,7 +182,7 @@ class EngineAdapter final : public Simulator {
     BatchRunner batch(program, batch_probes(engine_, nl_),
                       BatchOptions{.num_threads = num_threads,
                                    .metrics = metrics,
-                                   .extra_pass_cost = batch_extras(engine_),
+                                   .extra_pass_cost = pass_extras(),
                                    .cancel = cancel});
     r.values = batch.run(vectors, count);
     r.threads = batch.num_threads();

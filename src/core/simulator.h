@@ -49,6 +49,13 @@ struct BatchRunOptions {
   MetricsRegistry* metrics = nullptr;  ///< per-run counter sink override
 };
 
+/// The one stream-shape check every batch entry point runs: `vectors` is
+/// row-major with one Bit per primary input of `nl`. Returns the vector
+/// count; throws std::invalid_argument naming the actual sizes when the
+/// stream is ragged, or non-empty for a netlist without primary inputs.
+[[nodiscard]] std::size_t batch_vector_count(const Netlist& nl,
+                                             std::span<const Bit> vectors);
+
 /// Minimal common surface: feed vectors, read settled values.
 /// (Waveform-level access is engine-specific; use the engine classes
 /// directly — ParallelSim::value_at, PCSetSim::value_at, OracleSim::step.)
@@ -113,6 +120,12 @@ class Simulator {
   /// Arena bits holding each primary output's settled value, in netlist
   /// primary-output order; empty for engines without a compiled program.
   [[nodiscard]] virtual std::vector<ArenaProbe> output_probes() const = 0;
+
+  /// Engine-specific per-pass counter constants for the compiled program
+  /// (obs/pass_cost.h): the parallel technique's trimming extras, empty for
+  /// every other engine. Every batch entry point hands them to BatchRunner,
+  /// so the exec.* counters do not depend on which entry point ran.
+  [[nodiscard]] virtual PassExtras pass_extras() const = 0;
 
   /// Exact structural cost profile of the compiled program (per-level cost
   /// breakdown, top-K hottest nets, shift-site ledger — obs/profiler.h).

@@ -22,12 +22,6 @@ ParallelOptions native_base_options() {
 /// Engine label of the base program in the cache key.
 constexpr const char* kBaseLabel = "parallel-combined";
 
-std::vector<std::pair<std::string, std::uint64_t>> native_extras(
-    const ParallelCompiled& c) {
-  return {{"exec.trimmed_stores_skipped", c.stats.suppressed_stores},
-          {"exec.gap_words_filled", c.trim.gap_words}};
-}
-
 }  // namespace
 
 NativeSimulator::NativeSimulator(const Netlist& nl, const NativeOptions& opts)
@@ -52,7 +46,7 @@ NativeSimulator::~NativeSimulator() = default;
 
 void NativeSimulator::set_metrics(MetricsRegistry* reg) noexcept {
   metrics_ = reg;
-  exec_ = ExecCounters::attach(reg, compiled_.program, native_extras(compiled_));
+  exec_ = ExecCounters::attach(reg, compiled_.program, pass_extras());
 }
 
 void NativeSimulator::set_cancel(const CancelToken* token) noexcept {
@@ -92,18 +86,7 @@ ProgramProfile NativeSimulator::program_profile(std::size_t top_k) const {
 BatchResult NativeSimulator::run_batch(std::span<const Bit> vectors,
                                        const BatchRunOptions& opts) const {
   const std::size_t pis = nl_.primary_inputs().size();
-  if (pis == 0) {
-    if (!vectors.empty()) {
-      throw std::invalid_argument(
-          "run_batch: stream of " + std::to_string(vectors.size()) +
-          " bits given but the netlist has no primary inputs");
-    }
-  } else if (vectors.size() % pis != 0) {
-    throw std::invalid_argument(
-        "run_batch: stream size " + std::to_string(vectors.size()) +
-        " is not a multiple of the primary-input count " + std::to_string(pis));
-  }
-  const std::size_t count = pis == 0 ? 0 : vectors.size() / pis;
+  const std::size_t count = batch_vector_count(nl_, vectors);
 
   BatchResult r;
   r.outputs = nl_.primary_outputs();
@@ -125,7 +108,7 @@ BatchResult NativeSimulator::run_batch(std::span<const Bit> vectors,
   const ExecCounters exec =
       opts.metrics && opts.metrics != metrics_
           ? ExecCounters::attach(opts.metrics, compiled_.program,
-                                 native_extras(compiled_))
+                                 pass_extras())
           : exec_;
 
   // Chunked execution: the cancel token is polled at every chunk boundary

@@ -44,6 +44,9 @@ class NativeSimulator final : public Simulator {
     return &compiled_.program;
   }
   [[nodiscard]] std::vector<ArenaProbe> output_probes() const override;
+  [[nodiscard]] PassExtras pass_extras() const override {
+    return trim_pass_extras(compiled_);
+  }
   [[nodiscard]] ProgramProfile program_profile(std::size_t top_k) const override;
   void set_cancel(const CancelToken* token) noexcept override;
 

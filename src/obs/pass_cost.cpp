@@ -87,9 +87,8 @@ ProgramPassCost op_pass_cost(const Op& op) {
   return c;
 }
 
-ExecCounters ExecCounters::attach(
-    MetricsRegistry* reg, const Program& program,
-    const std::vector<std::pair<std::string, std::uint64_t>>& extra_per_pass) {
+ExecCounters ExecCounters::attach(MetricsRegistry* reg, const Program& program,
+                                  const PassExtras& extra_per_pass) {
   ExecCounters e;
   if (!reg) return e;
   e.cost = program_pass_cost(program);

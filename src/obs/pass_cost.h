@@ -58,6 +58,9 @@ inline bool operator==(const ProgramPassCost& a, const ProgramPassCost& b) {
          a.load_ops == b.load_ops && a.gate_ops == b.gate_ops;
 }
 
+/// Engine-specific per-pass constants as (counter name, amount per pass).
+using PassExtras = std::vector<std::pair<std::string, std::uint64_t>>;
+
 /// Pre-resolved handles for the per-pass execution counters, plus optional
 /// engine-specific extras (per-pass constants the Program alone cannot
 /// supply, e.g. trimming's suppressed stores). Null-registry attach yields
@@ -74,9 +77,9 @@ struct ExecCounters {
   std::vector<std::pair<MetricCounter*, std::uint64_t>> extras;
   ProgramPassCost cost;
 
-  [[nodiscard]] static ExecCounters attach(
-      MetricsRegistry* reg, const Program& program,
-      const std::vector<std::pair<std::string, std::uint64_t>>& extra_per_pass = {});
+  [[nodiscard]] static ExecCounters attach(MetricsRegistry* reg,
+                                           const Program& program,
+                                           const PassExtras& extra_per_pass = {});
 
   [[nodiscard]] bool engaged() const noexcept { return vectors != nullptr; }
 

@@ -15,9 +15,9 @@
 // the current request's id to the thread, and every TraceSpan constructed
 // while the scope is active (compile phases inside the program-cache build,
 // batch.run, native.compile) tags itself with a "request" arg
-// automatically. Batch shards run on pool threads, so BatchRunner re-enters
-// the scope per shard from BatchOptions::trace_id — the one id that is
-// threaded explicitly.
+// automatically. Batch shards run on pool threads, so BatchRunner reads the
+// id on the calling thread and re-enters the scope per shard. The scope is
+// the only carrier: no options struct holds a trace id.
 //
 // Thread model: a RequestTrace is written by one thread at a time (the
 // submitting thread until the request is queued, then exactly one service

@@ -90,6 +90,15 @@ struct ParallelCompiled {
 /// budget errors and diagnostics).
 [[nodiscard]] EngineKind parallel_engine_kind(const ParallelOptions& options) noexcept;
 
+/// Per-pass counter constants the Program alone cannot supply: stores
+/// suppressed by word trimming and gap words filled by broadcast instead of
+/// evaluation. Every executor of a parallel program (step, run_batch, the
+/// resilient batch path, the native backend) attaches these.
+[[nodiscard]] inline PassExtras trim_pass_extras(const ParallelCompiled& c) {
+  return {{"exec.trimmed_stores_skipped", c.stats.suppressed_stores},
+          {"exec.gap_words_filled", c.trim.gap_words}};
+}
+
 /// Runtime wrapper: steps vectors and exposes full waveform access.
 /// Previous-vector finals are captured before each step so that `value_at`
 /// is defined even for times preceding a net's alignment.
@@ -142,18 +151,12 @@ class ParallelSim {
   [[nodiscard]] const ParallelCompiled& compiled() const noexcept { return compiled_; }
 
   /// Attach runtime execution counters (obs/pass_cost.h), plus the
-  /// trimming-specific per-pass constants: stores suppressed by word
-  /// trimming and gap words filled by broadcast instead of evaluation.
+  /// trimming-specific per-pass constants (trim_pass_extras).
   void set_metrics(MetricsRegistry* reg) {
-    runner_.set_metrics(reg, metric_extras());
+    runner_.set_metrics(reg, trim_pass_extras(compiled_));
   }
   /// Cooperative stop between vectors (see KernelRunner::set_cancel).
   void set_cancel(const CancelToken* token) noexcept { runner_.set_cancel(token); }
-  [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>>
-  metric_extras() const {
-    return {{"exec.trimmed_stores_skipped", compiled_.stats.suppressed_stores},
-            {"exec.gap_words_filled", compiled_.trim.gap_words}};
-  }
 
  private:
   static ParallelCompiled make(const Netlist& nl, ParallelOptions options,

@@ -111,8 +111,16 @@ bool validate_program(const Program& p, const ValidateOptions& opts,
     }
     written[iw.index] = true;
   }
-  for (const std::uint32_t persistent : opts.persistent) {
-    if (persistent < p.arena_words) written[persistent] = true;
+  for (std::size_t i = 0; i < opts.persistent.size(); ++i) {
+    const std::uint32_t word = opts.persistent[i];
+    if (word >= p.arena_words) {
+      rep.defect(DiagCode::ProgramInitBounds, "persistent[" + std::to_string(i) + "]",
+                 "persistent word " + std::to_string(word) +
+                     " outside the arena (" + std::to_string(p.arena_words) +
+                     " words)");
+      continue;
+    }
+    written[word] = true;
   }
   const bool track_scratch = !opts.persistent.empty();
 

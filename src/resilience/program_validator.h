@@ -1,14 +1,14 @@
 // Pre-flight validation of compiled programs, with structured diagnostics.
 //
-// `ir/verify.h` is the compiler test suites' string-returning checker; this
-// is the production-facing pass the execution stack runs *before* a program
-// touches an arena: the same structural checks (op bounds, arena and input
-// index ranges, shift-immediate ranges, scratch-read-before-write) plus
-// probe coverage and input coverage, each defect reported as a distinct
-// DiagCode into a Diagnostics sink. A corrupted or ill-formed Program is
-// therefore a structured rejection, never out-of-bounds execution. The
-// fallback chain re-validates after every downgrade, and the resilient batch
-// entry point validates before its first pass (DESIGN.md §5f).
+// The one structural checker for a Program: the execution stack runs it
+// *before* a program touches an arena, and the compiler test suites run it
+// over every generated program. It checks op bounds, arena and input index
+// ranges, shift-immediate ranges, scratch-read-before-write, probe coverage
+// and input coverage, each defect reported as a distinct DiagCode into a
+// Diagnostics sink. A corrupted or ill-formed Program is therefore a
+// structured rejection, never out-of-bounds execution. The fallback chain
+// re-validates after every downgrade, and the resilient batch entry point
+// validates before its first pass (DESIGN.md §5f).
 #pragma once
 
 #include <span>
@@ -25,7 +25,8 @@ struct ValidateOptions {
   /// Arena bits the caller intends to sample after each vector; validated
   /// against the arena bounds and the program word size.
   std::span<const ArenaProbe> probes{};
-  /// Arena words legitimately live across vectors (see VerifyOptions); when
+  /// Arena words legitimately live across vectors (net variables,
+  /// bit-fields, arena-init constants); each must lie inside the arena. When
   /// non-empty, reading any other word before this program writes it is an
   /// error.
   std::span<const std::uint32_t> persistent{};

@@ -13,28 +13,6 @@
 
 namespace udsim {
 
-namespace {
-
-std::size_t vector_count_of(const Netlist& nl, std::span<const Bit> vectors) {
-  const std::size_t pis = nl.primary_inputs().size();
-  if (pis == 0) {
-    if (!vectors.empty()) {
-      throw std::invalid_argument(
-          "run_batch_resilient: vector stream given but the netlist has no "
-          "primary inputs");
-    }
-    return 0;
-  }
-  if (vectors.size() % pis != 0) {
-    throw std::invalid_argument(
-        "run_batch_resilient: stream size " + std::to_string(vectors.size()) +
-        " is not a multiple of the primary-input count " + std::to_string(pis));
-  }
-  return vectors.size() / pis;
-}
-
-}  // namespace
-
 std::chrono::nanoseconds RetryPolicy::backoff_for(unsigned retry) const noexcept {
   if (retry == 0) return std::chrono::nanoseconds{0};
   double ns = static_cast<double>(base_backoff.count());
@@ -92,7 +70,7 @@ ResilientResult run_batch_resilient(const Simulator& sim,
                                     std::span<const Bit> vectors,
                                     const ResilientOptions& opts) {
   const Netlist& nl = sim.netlist();
-  const std::size_t count = vector_count_of(nl, vectors);
+  const std::size_t count = batch_vector_count(nl, vectors);
   ResilientResult r;
   r.batch.outputs = nl.primary_outputs();
   r.batch.vectors = count;
@@ -146,11 +124,11 @@ ResilientResult run_batch_resilient(const Simulator& sim,
   BatchRunner runner(*program, std::move(probes),
                      BatchOptions{.num_threads = opts.num_threads,
                                   .metrics = opts.metrics,
+                                  .extra_pass_cost = sim.pass_extras(),
                                   .cancel = opts.cancel,
                                   .inject = opts.inject,
                                   .retry_limit = opts.retry_limit,
-                                  .diag = opts.diag,
-                                  .trace_id = opts.trace_id});
+                                  .diag = opts.diag});
   ResilientBatch b = runner.run_resilient(vectors, count, opts.resume);
   r.status = b.status;
   r.batch.values = std::move(b.values);

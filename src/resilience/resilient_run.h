@@ -76,8 +76,6 @@ struct ResilientOptions {
   /// Run ProgramValidator before the first pass; a rejected program throws
   /// ProgramRejected instead of executing.
   bool validate = true;
-  /// Request-trace id threaded down into BatchOptions::trace_id (0 = none).
-  std::uint64_t trace_id = 0;
 };
 
 struct ResilientResult {

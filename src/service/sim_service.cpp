@@ -1,5 +1,6 @@
 #include "service/sim_service.h"
 
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -546,14 +547,10 @@ ServiceTicket SimService::submit(SessionId session, SimRequest req) {
   if (p->req.netlist == nullptr) {
     return refuse(Outcome::Rejected, "request carries no netlist");
   }
-  const std::size_t pis = p->req.netlist->primary_inputs().size();
-  if (pis == 0 ? !p->req.vectors.empty()
-               : p->req.vectors.size() % pis != 0) {
-    return refuse(Outcome::Rejected,
-                  "vector stream size " +
-                      std::to_string(p->req.vectors.size()) +
-                      " is not a multiple of the primary-input count " +
-                      std::to_string(pis));
+  try {
+    (void)batch_vector_count(*p->req.netlist, p->req.vectors);
+  } catch (const std::invalid_argument& e) {
+    return refuse(Outcome::Rejected, e.what());
   }
 
   // Poison quarantine: a netlist that has already failed deterministically
@@ -653,8 +650,8 @@ void SimService::run_one(const std::shared_ptr<Pending>& p,
                          std::size_t depth_at_pop) {
   // Pin the request id to this worker thread: every TraceSpan below —
   // including the compile-phase spans inside the cache build — tags itself
-  // with the "request" arg. Shards on pool threads re-enter the scope via
-  // BatchOptions::trace_id.
+  // with the "request" arg. BatchRunner re-enters the scope on its pool
+  // threads, so the shard spans carry it too.
   RequestTraceScope trace_scope(p->trace.id());
   SimResponse resp;
   resp.queue_ns = elapsed_ns(p->submitted, Clock::now());
@@ -812,7 +809,6 @@ void SimService::run_one(const std::shared_ptr<Pending>& p,
   // The program was validated once at build time (cfg_.validate); re-running
   // the validator per request would be pure overhead.
   ropts.validate = false;
-  ropts.trace_id = p->trace.id();
 
   const Clock::time_point run_start = Clock::now();
   for (unsigned attempt = 1;; ++attempt) {

@@ -15,6 +15,7 @@
 #include "gen/random_dag.h"
 #include "harness/vectors.h"
 #include "obs/metrics.h"
+#include "obs/request_trace.h"
 #include "lcc/lcc.h"
 #include "parsim/parallel_sim.h"
 #include "pcsim/pcset_sim.h"
@@ -134,6 +135,40 @@ TEST(BatchRunner, ParallelVariantsBitIdenticalAcrossThreadCounts) {
           "parallel program");
     }
   }
+}
+
+// Shards run on pool threads yet carry the caller's request trace id: the
+// thread-local RequestTraceScope is the only carrier, re-entered per shard.
+TEST(BatchRunner, ShardSpansCarryTheCallersRequestId) {
+  const Netlist nl = test_dag(31);
+  const ParallelCompiled c = compile_parallel(nl, {});
+  const std::size_t count = 200;
+  const auto in = random_inputs(nl.primary_inputs().size(), count, 3131);
+  // The "request" arg of every batch.shard span (0 when absent).
+  const auto shard_requests = [&](RequestTraceId scope_id) {
+    MetricsRegistry reg;
+    BatchOptions options;
+    options.num_threads = 3;
+    options.metrics = &reg;
+    BatchRunner runner(c.program, parallel_probes(c, nl), options);
+    {
+      RequestTraceScope scope(scope_id);
+      (void)runner.run(in, count);
+    }
+    std::vector<std::uint64_t> requests;
+    for (const TraceEvent& e : reg.trace_events()) {
+      if (e.name != "batch.shard") continue;
+      std::uint64_t request = 0;
+      for (const auto& [k, v] : e.args) {
+        if (k == "request") request = v;
+      }
+      requests.push_back(request);
+    }
+    return requests;
+  };
+  EXPECT_EQ(shard_requests(42), std::vector<std::uint64_t>(3, 42));
+  EXPECT_EQ(shard_requests(0), std::vector<std::uint64_t>(3, 0));
+  EXPECT_EQ(current_request_trace_id(), 0u) << "scope leaked past the run";
 }
 
 TEST(BatchRunner, PCSetProgramBitIdenticalAcrossThreadCounts) {

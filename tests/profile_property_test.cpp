@@ -8,10 +8,10 @@
 #include "analysis/pcset.h"
 #include "analysis/trimming.h"
 #include "gen/iscas_profiles.h"
-#include "ir/verify.h"
 #include "lcc/lcc.h"
 #include "parsim/parallel_sim.h"
 #include "pcsim/pcset_sim.h"
+#include "resilience/program_validator.h"
 
 namespace udsim {
 namespace {
@@ -25,7 +25,8 @@ class ProfileProperties : public ::testing::TestWithParam<const char*> {
 TEST_P(ProfileProperties, EveryCompiledProgramVerifies) {
   {
     const LccCompiled lcc = compile_lcc(nl_);
-    EXPECT_EQ(verify_program(lcc.program, {lcc.net_var}), "");
+    EXPECT_EQ(
+        validate_program_brief(lcc.program, {.persistent = lcc.net_var}), "");
   }
   {
     const PCSetCompiled pcs = compile_pcset(nl_);
@@ -33,7 +34,7 @@ TEST_P(ProfileProperties, EveryCompiledProgramVerifies) {
     for (const auto& vars : pcs.net_vars) {
       for (const auto& [t, w] : vars) persistent.push_back(w);
     }
-    EXPECT_EQ(verify_program(pcs.program, {persistent}), "");
+    EXPECT_EQ(validate_program_brief(pcs.program, {.persistent = persistent}), "");
   }
   for (ShiftElim se :
        {ShiftElim::None, ShiftElim::PathTracing, ShiftElim::CycleBreaking}) {
@@ -48,7 +49,8 @@ TEST_P(ProfileProperties, EveryCompiledProgramVerifies) {
           persistent.push_back(par.net_base[n] + w);
         }
       }
-      EXPECT_EQ(verify_program(par.program, {persistent}), "")
+      EXPECT_EQ(
+          validate_program_brief(par.program, {.persistent = persistent}), "")
           << "shift_elim=" << static_cast<int>(se) << " trim=" << trim;
     }
   }

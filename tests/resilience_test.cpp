@@ -5,13 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <map>
 #include <new>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/batch_runner.h"
 #include "core/simulator.h"
 #include "eventsim/event_sim.h"
+#include "gen/iscas_profiles.h"
 #include "gen/random_dag.h"
 #include "harness/vectors.h"
 #include "lcc/lcc.h"
@@ -564,6 +568,15 @@ TEST(ProgramValidator, RejectsEachMutationClassWithItsOwnCode) {
     EXPECT_FALSE(validate_program(p, sopts, with));
     EXPECT_TRUE(with.has(DiagCode::ProgramScratchRead));
   }
+  {
+    // A declared-persistent word outside the arena is a defect, not ignored.
+    const std::vector<std::uint32_t> outside{0, c.program.arena_words + 4};
+    Diagnostics diag;
+    EXPECT_FALSE(validate_program(
+        c.program, ValidateOptions{.probes = c.probes, .persistent = outside},
+        diag));
+    EXPECT_TRUE(diag.has(DiagCode::ProgramInitBounds));
+  }
   // A defect flood is capped, not unbounded.
   {
     Program p = c.program;
@@ -631,6 +644,42 @@ TEST(ResilientRun, CompiledEngineCheckpointsAndResumesThroughTheFacade) {
   EXPECT_EQ(resumed.status, RunStatus::Complete);
   EXPECT_EQ(resumed.batch.values, clean.values);
   EXPECT_TRUE(diag.has(DiagCode::CheckpointResumed));
+}
+
+// Both batch entry points attach the engine's per-pass extras, so a trimmed
+// parallel program records the same exec.* counters through either. The
+// circuits are ones where trimming suppresses stores at 32-bit words.
+TEST(ResilientRun, ExecCountersMatchRunBatchForTrimmedPrograms) {
+  const auto exec_counters = [](const MetricsRegistry& reg) {
+    std::map<std::string, std::uint64_t> exec;
+    for (const auto& [name, value] : reg.snapshot()) {
+      if (name.starts_with("exec.")) exec.emplace(name, value);
+    }
+    return exec;
+  };
+  const std::pair<EngineKind, const char*> cases[] = {
+      {EngineKind::ParallelTrimmed, "c1908"},
+      {EngineKind::ParallelCombined, "c6288"},
+  };
+  for (const auto& [kind, circuit] : cases) {
+    const Netlist nl = make_iscas85_like(circuit);
+    const auto flat = bit_stream(nl.primary_inputs().size(), 40, 1616);
+    const auto sim = make_simulator(nl, kind);
+    MetricsRegistry direct;
+    (void)sim->run_batch(flat,
+                         BatchRunOptions{.num_threads = 2, .metrics = &direct});
+    MetricsRegistry resilient;
+    ResilientOptions opts;
+    opts.num_threads = 2;
+    opts.metrics = &resilient;
+    (void)run_batch_resilient(*sim, flat, opts);
+
+    const auto want = exec_counters(direct);
+    EXPECT_GT(want.at("exec.trimmed_stores_skipped"), 0u) << circuit;
+    EXPECT_TRUE(want.contains("exec.gap_words_filled")) << circuit;
+    EXPECT_EQ(exec_counters(resilient), want)
+        << engine_name(kind) << " " << circuit;
+  }
 }
 
 TEST(ResilientRun, InterpretedEngineCancelsButIsNotResumable) {

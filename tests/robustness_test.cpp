@@ -1,13 +1,15 @@
-// Failure-path robustness: run_batch input validation across every engine
+// Failure-path robustness: batch input validation across every engine
 // and worker-exception propagation through the thread pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
 
 #include "core/simulator.h"
 #include "core/thread_pool.h"
+#include "resilience/resilient_run.h"
 #include "test_util.h"
 
 namespace udsim {
@@ -25,24 +27,34 @@ constexpr EngineKind kAllEngines[] = {
     EngineKind::ZeroDelayLcc,
 };
 
+// Runs `run` and expects std::invalid_argument naming every one of `sizes`.
+template <class Run>
+void expect_stream_rejected(Run run, const std::string& what,
+                            std::initializer_list<const char*> sizes) {
+  try {
+    run();
+    ADD_FAILURE() << "expected std::invalid_argument from " << what;
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    for (const char* size : sizes) {
+      EXPECT_NE(msg.find(size), std::string::npos) << what << ": " << msg;
+    }
+  }
+}
+
 // A stream whose size is not a multiple of the PI count must raise
-// std::invalid_argument naming both sizes — on every engine, before any
-// simulation work happens.
+// std::invalid_argument naming both sizes — on every engine and through
+// both batch entry points, before any simulation work happens.
 TEST(RunBatchValidation, RaggedStreamThrowsWithActualSizes) {
   const Netlist nl = test::fig4_network();  // 3 primary inputs
   const std::vector<Bit> ragged(7, 0);      // 7 % 3 != 0
   for (EngineKind kind : kAllEngines) {
     const auto sim = make_simulator(nl, kind);
-    try {
-      (void)sim->run_batch(ragged);
-      FAIL() << "expected std::invalid_argument from " << engine_name(kind);
-    } catch (const std::invalid_argument& e) {
-      const std::string msg = e.what();
-      EXPECT_NE(msg.find("7"), std::string::npos)
-          << engine_name(kind) << ": " << msg;
-      EXPECT_NE(msg.find("3"), std::string::npos)
-          << engine_name(kind) << ": " << msg;
-    }
+    const std::string name(engine_name(kind));
+    expect_stream_rejected([&] { (void)sim->run_batch(ragged); }, name,
+                           {"7", "3"});
+    expect_stream_rejected([&] { (void)run_batch_resilient(*sim, ragged); },
+                           name + " (resilient)", {"7", "3"});
   }
 }
 
@@ -61,16 +73,15 @@ TEST(RunBatchValidation, StreamForInputlessNetlistThrows) {
       continue;
     }
     const auto sim = make_simulator(nl, kind);
-    try {
-      (void)sim->run_batch(spurious);
-      FAIL() << "expected std::invalid_argument from " << engine_name(kind);
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("5"), std::string::npos)
-          << engine_name(kind) << ": " << e.what();
-    }
+    const std::string name(engine_name(kind));
+    expect_stream_rejected([&] { (void)sim->run_batch(spurious); }, name,
+                           {"5"});
+    expect_stream_rejected([&] { (void)run_batch_resilient(*sim, spurious); },
+                           name + " (resilient)", {"5"});
     // The empty stream is the one valid stream here.
     const BatchResult r = sim->run_batch({});
     EXPECT_EQ(r.vectors, 0u);
+    EXPECT_EQ(run_batch_resilient(*sim, {}).batch.vectors, 0u);
   }
 }
 

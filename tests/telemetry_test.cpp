@@ -154,6 +154,31 @@ TEST(TelemetryTest, ResponsesCarryDistinctTraceIdsThatTagShardSpans) {
   EXPECT_TRUE(trace.at("metadata").has("trace.dropped"));
 }
 
+// The compile phases run inside the worker's RequestTraceScope, so a cold
+// (cache-miss) request's compile.total span carries that request's id.
+TEST(TelemetryTest, ColdRequestTagsItsCompileSpans) {
+  SimService svc;
+  const auto nl = circuit("c432");
+  const SimResponse r =
+      svc.run(svc.open_session("cold"),
+              SimRequest{.netlist = nl, .vectors = stream_for(*nl, 16)});
+  ASSERT_EQ(r.outcome, Outcome::Completed) << r.detail;
+  ASSERT_FALSE(r.cache_hit);
+  ASSERT_NE(r.trace_id, 0u);
+
+  std::size_t compile_spans = 0;
+  for (const TraceEvent& e : svc.metrics().trace_events()) {
+    if (e.name != "compile.total") continue;
+    ++compile_spans;
+    std::uint64_t request = 0;
+    for (const auto& [k, v] : e.args) {
+      if (k == "request") request = v;
+    }
+    EXPECT_EQ(request, r.trace_id);
+  }
+  EXPECT_GT(compile_spans, 0u) << "the cold request recorded no compile.total";
+}
+
 TEST(TelemetryTest, DisabledTelemetryLeavesNoTraceOrWindow) {
   ServiceConfig cfg;
   cfg.telemetry.enabled = false;

@@ -1,15 +1,15 @@
 // Netlist-transform tests: dead-logic sweep and constant propagation keep
-// the observable behaviour; IR verifier catches malformed programs.
+// the observable behaviour; the program validator catches malformed programs.
 #include <gtest/gtest.h>
 
 #include "gen/random_dag.h"
 #include "harness/vectors.h"
-#include "ir/verify.h"
 #include "lcc/lcc.h"
 #include "netlist/transform.h"
 #include "oracle/oracle.h"
 #include "parsim/parallel_sim.h"
 #include "pcsim/pcset_sim.h"
+#include "resilience/program_validator.h"
 #include "test_util.h"
 
 namespace udsim {
@@ -131,14 +131,14 @@ TEST(Transform, ConstantPropagationPreservesFinalsOnRandomCircuits) {
 
 TEST(Verify, AcceptsEveryCompiledProgram) {
   const Netlist nl = test::fig4_network();
-  EXPECT_EQ(verify_program(compile_lcc(nl).program), "");
-  EXPECT_EQ(verify_program(compile_pcset(nl).program), "");
+  EXPECT_EQ(validate_program_brief(compile_lcc(nl).program), "");
+  EXPECT_EQ(validate_program_brief(compile_pcset(nl).program), "");
   for (ShiftElim se : {ShiftElim::None, ShiftElim::PathTracing, ShiftElim::CycleBreaking}) {
     for (bool trim : {false, true}) {
       ParallelOptions o;
       o.shift_elim = se;
       o.trimming = trim;
-      EXPECT_EQ(verify_program(compile_parallel(nl, o).program), "");
+      EXPECT_EQ(validate_program_brief(compile_parallel(nl, o).program), "");
     }
   }
 }
@@ -149,11 +149,11 @@ TEST(Verify, CatchesOutOfBounds) {
   p.arena_words = 2;
   p.input_words = 1;
   p.ops.push_back({OpCode::Copy, 0, 0, 5, 0});  // a out of bounds
-  EXPECT_NE(verify_program(p), "");
+  EXPECT_NE(validate_program_brief(p), "");
   p.ops[0] = {OpCode::Copy, 0, 7, 1, 0};  // dst out of bounds
-  EXPECT_NE(verify_program(p), "");
+  EXPECT_NE(validate_program_brief(p), "");
   p.ops[0] = {OpCode::LoadBit, 0, 0, 3, 0};  // input index out of bounds
-  EXPECT_NE(verify_program(p), "");
+  EXPECT_NE(validate_program_brief(p), "");
 }
 
 TEST(Verify, CatchesBadShifts) {
@@ -161,11 +161,11 @@ TEST(Verify, CatchesBadShifts) {
   p.word_bits = 32;
   p.arena_words = 3;
   p.ops.push_back({OpCode::Shl, 32, 0, 1, 0});  // shift == word size
-  EXPECT_NE(verify_program(p), "");
+  EXPECT_NE(validate_program_brief(p), "");
   p.ops[0] = {OpCode::FunnelR, 0, 0, 1, 2};  // funnel by zero
-  EXPECT_NE(verify_program(p), "");
+  EXPECT_NE(validate_program_brief(p), "");
   p.ops[0] = {OpCode::FunnelR, 31, 0, 1, 2};
-  EXPECT_EQ(verify_program(p), "");
+  EXPECT_EQ(validate_program_brief(p), "");
 }
 
 TEST(Verify, CatchesScratchReadBeforeWrite) {
@@ -174,11 +174,13 @@ TEST(Verify, CatchesScratchReadBeforeWrite) {
   p.arena_words = 3;  // word 0 persistent, 1-2 scratch
   p.ops.push_back({OpCode::Copy, 0, 0, 1, 0});  // read scratch 1 unwritten
   const std::uint32_t persistent[] = {0};
-  EXPECT_NE(verify_program(p, {persistent}), "");
+  EXPECT_NE(validate_program_brief(p, {.persistent = persistent}), "");
   p.ops.clear();
   p.ops.push_back({OpCode::Copy, 0, 1, 0, 0});  // write scratch 1 first
   p.ops.push_back({OpCode::Copy, 0, 0, 1, 0});
-  EXPECT_EQ(verify_program(p, {persistent}), "");
+  EXPECT_EQ(validate_program_brief(p, {.persistent = persistent}), "");
+  const std::uint32_t outside[] = {0, 3};  // word 3 is past the arena
+  EXPECT_NE(validate_program_brief(p, {.persistent = outside}), "");
 }
 
 }  // namespace
