@@ -9,7 +9,8 @@
 //     sum to the offered-request count, and the rolling window's
 //     outcome_totals must equal them slot by slot (the exactly-once
 //     invariant, observed over the wire).
-//   - prometheus_text() must pass validate_prometheus_text line by line.
+//   - status_json() must carry the live service state: queue depth, the
+//     breaker, the health state and the SLO availability.
 //   - every event-log line must parse as JSON with the schema fields, and
 //     written + dropped must equal the number of resolutions.
 //   - trace_to_json() must parse and report trace.dropped in its metadata.
@@ -21,7 +22,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "obs/exporter.h"
 #include "obs/json.h"
 #include "service/sim_service.h"
 
@@ -111,16 +111,16 @@ int main(int argc, char** argv) {
         check(v.as_u64() == outcomes.at(name).as_u64(),
               "window total '" + name + "' equals the outcome counter");
       }
+      check(doc.at("service").has("queue_depth"), "service carries queue_depth");
+      check(doc.at("service").at("breaker").is_string(),
+            "service carries the breaker state");
+      check(doc.at("health").at("state").is_string(),
+            "health carries its state");
       check(doc.at("slo").has("availability"), "slo carries availability");
       check(doc.at("events").at("enabled").boolean, "event log enabled");
     } catch (const std::exception& e) {
       check(false, std::string("status_json parses: ") + e.what());
     }
-
-    // --- prometheus_text: full line-grammar validation.
-    std::string why;
-    check(validate_prometheus_text(svc.prometheus_text(), &why),
-          "prometheus_text validates: " + why);
 
     // --- trace export: parses, and metadata reports drop accounting.
     try {

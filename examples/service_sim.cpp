@@ -3,11 +3,10 @@
 // the shared compiled-program cache, watch a deadline expire and a
 // cancellation land as structured outcomes, and read the per-session report.
 //
-//   service_sim [circuit] [vectors] [requests] [--status] [--prometheus]
-//                                               (defaults: c880 64 4)
+//   service_sim [circuit] [vectors] [requests] [--status]
+//                                  (defaults: c880 64 4)
 //
 //   --status      print the live status_json() document after the traffic
-//   --prometheus  print the Prometheus text exposition after the traffic
 //
 // Everything a request can do is visible in its SimResponse: the outcome,
 // the engine that served it, whether the program came from the cache, how
@@ -23,20 +22,16 @@
 #include <vector>
 
 #include "common.h"
-#include "obs/exporter.h"
 #include "service/sim_service.h"
 
 int main(int argc, char** argv) {
   using namespace udsim;
   bool show_status = false;
-  bool show_prometheus = false;
   std::vector<std::string> pos;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--status") {
       show_status = true;
-    } else if (a == "--prometheus") {
-      show_prometheus = true;
     } else {
       pos.push_back(a);
     }
@@ -134,21 +129,12 @@ int main(int argc, char** argv) {
               svc.health_json().c_str());
   if (health.state != HealthState::Healthy) return 1;
 
-  // 7. Live telemetry (DESIGN.md §5l): the status document and Prometheus
-  // exposition compose everything above — stats, health, exactly-once
-  // outcome counters, the rolling window with latency percentiles and the
-  // SLO view — for a scrape loop or dashboard.
+  // 7. Live telemetry (DESIGN.md §5l): the status document composes
+  // everything above — stats, health, exactly-once outcome counters, the
+  // rolling window with latency percentiles and the SLO view — for a scrape
+  // loop or dashboard.
   if (show_status) {
     std::printf("status:\n%s\n", svc.status_json().c_str());
-  }
-  if (show_prometheus) {
-    const std::string text = svc.prometheus_text();
-    std::string why;
-    if (!validate_prometheus_text(text, &why)) {
-      std::fprintf(stderr, "malformed exposition: %s\n", why.c_str());
-      return 1;
-    }
-    std::printf("prometheus:\n%s", text.c_str());
   }
 
   svc.shutdown();

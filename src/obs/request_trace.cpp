@@ -67,12 +67,12 @@ RequestTraceId current_request_trace_id() noexcept {
   return tls_current_trace;
 }
 
-std::uint64_t RequestTrace::phase_ns(RequestPhase phase) const noexcept {
-  std::uint64_t sum = 0;
+RequestTrace::PhaseTotals RequestTrace::phase_totals() const noexcept {
+  PhaseTotals sums{};
   for (const Record& r : records_) {
-    if (r.phase == phase) sum += r.dur_ns;
+    sums[static_cast<std::size_t>(r.phase)] += r.dur_ns;
   }
-  return sum;
+  return sums;
 }
 
 std::uint32_t RequestTrace::lane_of(RequestTraceId id) noexcept {

@@ -25,7 +25,9 @@
 // internally synchronized.
 #pragma once
 
+#include <array>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -85,7 +87,7 @@ class RequestTraceScope {
 [[nodiscard]] RequestTraceId current_request_trace_id() noexcept;
 
 /// One request's recorded lifecycle. Records are appended in completion
-/// order; phase_ns() sums durations per phase for the event-log line.
+/// order; phase_totals() sums durations per phase for the event-log line.
 class RequestTrace {
  public:
   struct Record {
@@ -112,9 +114,14 @@ class RequestTrace {
     return records_;
   }
 
-  /// Summed duration of every record of `phase` (a retried request has
+  /// Summed ns per phase, indexed by the RequestPhase value.
+  using PhaseTotals =
+      std::array<std::uint64_t,
+                 static_cast<std::size_t>(RequestPhase::Resolve) + 1>;
+
+  /// Summed duration of every record, per phase (a retried request has
   /// several RunAttempt records).
-  [[nodiscard]] std::uint64_t phase_ns(RequestPhase phase) const noexcept;
+  [[nodiscard]] PhaseTotals phase_totals() const noexcept;
 
   /// Export the trace into `reg`'s trace buffer: one "request.<phase>"
   /// TraceEvent per record plus one enclosing "request" event spanning the

@@ -7,7 +7,6 @@
 #include "core/width_dispatch.h"
 #include "native/native_backend.h"
 #include "netlist/stats.h"
-#include "obs/exporter.h"
 #include "obs/json.h"
 #include "resilience/program_validator.h"
 
@@ -38,6 +37,22 @@ constexpr std::size_t kOutcomeSlots =
     }
   }
   return "none";
+}
+
+/// The health object shared by health_json() and status_json()'s "health".
+[[nodiscard]] JsonValue health_to_json(const SimService::HealthReport& r) {
+  JsonValue doc = JsonValue::make_object();
+  doc.set("state", JsonValue::make_string(health_state_name(r.state)));
+  JsonValue comps = JsonValue::make_array();
+  for (const SimService::HealthComponent& c : r.components) {
+    JsonValue jc = JsonValue::make_object();
+    jc.set("name", JsonValue::make_string(c.name));
+    jc.set("state", JsonValue::make_string(health_state_name(c.state)));
+    jc.set("detail", JsonValue::make_string(c.detail));
+    comps.array.push_back(std::move(jc));
+  }
+  doc.set("components", std::move(comps));
+  return doc;
 }
 
 }  // namespace
@@ -193,20 +208,7 @@ SimService::HealthReport SimService::health() const {
 }
 
 std::string SimService::health_json() const {
-  const HealthReport r = health();
-  JsonValue doc = JsonValue::make_object();
-  doc.set("state",
-          JsonValue::make_string(health_state_name(r.state)));
-  JsonValue comps = JsonValue::make_array();
-  for (const HealthComponent& c : r.components) {
-    JsonValue jc = JsonValue::make_object();
-    jc.set("name", JsonValue::make_string(c.name));
-    jc.set("state", JsonValue::make_string(health_state_name(c.state)));
-    jc.set("detail", JsonValue::make_string(c.detail));
-    comps.array.push_back(std::move(jc));
-  }
-  doc.set("components", std::move(comps));
-  return doc.dump(2);
+  return health_to_json(health()).dump(2);
 }
 
 std::vector<bool> SimService::good_outcome_slots() {
@@ -222,7 +224,6 @@ std::vector<bool> SimService::good_outcome_slots() {
 
 std::string SimService::status_json() const {
   const Stats st = stats();
-  const HealthReport hr = health();
   JsonValue doc = JsonValue::make_object();
 
   JsonValue svc = JsonValue::make_object();
@@ -240,19 +241,7 @@ std::string SimService::status_json() const {
           JsonValue::make_uint(metrics_.counter("service.submitted").value()));
   doc.set("service", std::move(svc));
 
-  JsonValue health_doc = JsonValue::make_object();
-  health_doc.set("state",
-                 JsonValue::make_string(health_state_name(hr.state)));
-  JsonValue comps = JsonValue::make_array();
-  for (const HealthComponent& c : hr.components) {
-    JsonValue jc = JsonValue::make_object();
-    jc.set("name", JsonValue::make_string(c.name));
-    jc.set("state", JsonValue::make_string(health_state_name(c.state)));
-    jc.set("detail", JsonValue::make_string(c.detail));
-    comps.array.push_back(std::move(jc));
-  }
-  health_doc.set("components", std::move(comps));
-  doc.set("health", std::move(health_doc));
+  doc.set("health", health_to_json(health()));
 
   // Cumulative exactly-once outcome counters: one key per Outcome, always
   // present (0 included) so consumers can sum without existence checks.
@@ -338,91 +327,6 @@ std::string SimService::status_json() const {
   return doc.dump(2);
 }
 
-std::string SimService::prometheus_text() const {
-  std::string out = render_prometheus(metrics_);
-  PrometheusWriter w;
-  const Stats st = stats();
-  const HealthReport hr = health();
-
-  w.type("udsim_service_queue_depth", "gauge", "Requests waiting in the queue");
-  w.sample("udsim_service_queue_depth", std::uint64_t{st.queue_depth});
-  w.type("udsim_service_queue_capacity", "gauge");
-  w.sample("udsim_service_queue_capacity", std::uint64_t{st.queue_capacity});
-  w.type("udsim_service_active_requests", "gauge",
-         "Submitted but not yet resolved");
-  w.sample("udsim_service_active_requests", std::uint64_t{st.active_requests});
-  w.type("udsim_service_cache_entries", "gauge");
-  w.sample("udsim_service_cache_entries", std::uint64_t{st.cache_entries});
-  w.type("udsim_service_cache_bytes", "gauge");
-  w.sample("udsim_service_cache_bytes", std::uint64_t{st.cache_bytes});
-  w.type("udsim_service_shed_level_current", "gauge",
-         "Load-shed ladder level of the most recent schedule");
-  w.sample("udsim_service_shed_level_current", std::uint64_t{st.shed_level});
-  w.type("udsim_service_quarantined_fingerprints", "gauge",
-         "Poison-ledger quarantine population");
-  w.sample("udsim_service_quarantined_fingerprints",
-           std::uint64_t{st.quarantined});
-  w.type("udsim_service_breaker_state", "gauge",
-         "Toolchain breaker: 0=closed 1=open 2=half_open");
-  w.sample("udsim_service_breaker_state",
-           static_cast<std::uint64_t>(st.breaker));
-  w.type("udsim_service_health_state", "gauge",
-         "0=healthy 1=degraded 2=unhealthy");
-  w.sample("udsim_service_health_state", static_cast<std::uint64_t>(hr.state));
-
-  if (window_ != nullptr) {
-    const RollingWindow::Snapshot snap = window_->snapshot(trace_now_ns());
-    w.type("udsim_window_outcome_count", "gauge",
-           "Requests resolved per outcome over the rolling window");
-    w.type("udsim_window_outcome_total", "counter",
-           "Requests resolved per outcome since start (exactly-once)");
-    for (std::size_t s = 0; s < kOutcomeSlots; ++s) {
-      const std::string name(outcome_name(static_cast<Outcome>(s)));
-      w.sample("udsim_window_outcome_count", snap.slot_counts[s],
-               {{"outcome", name}});
-      w.sample("udsim_window_outcome_total", snap.slot_totals[s],
-               {{"outcome", name}});
-    }
-    w.type("udsim_window_latency_us", "gauge",
-           "Windowed request latency percentiles (microseconds)");
-    w.sample("udsim_window_latency_us",
-             RollingWindow::percentile(snap.latency, 0.50),
-             {{"quantile", "0.5"}});
-    w.sample("udsim_window_latency_us",
-             RollingWindow::percentile(snap.latency, 0.95),
-             {{"quantile", "0.95"}});
-    w.sample("udsim_window_latency_us",
-             RollingWindow::percentile(snap.latency, 0.99),
-             {{"quantile", "0.99"}});
-
-    const SloView slo =
-        evaluate_slo(snap, cfg_.telemetry.slo, good_outcome_slots());
-    w.type("udsim_slo_availability", "gauge",
-           "Windowed good / total (1.0 when empty)");
-    w.sample("udsim_slo_availability", slo.availability);
-    w.type("udsim_slo_error_budget_consumed", "gauge",
-           "Fraction of the windowed error budget consumed (>1 = blown)");
-    w.sample("udsim_slo_error_budget_consumed", slo.budget_consumed);
-    w.type("udsim_slo_availability_ok", "gauge");
-    w.sample("udsim_slo_availability_ok",
-             std::uint64_t{slo.availability_ok ? 1u : 0u});
-    w.type("udsim_slo_latency_ok", "gauge");
-    w.sample("udsim_slo_latency_ok", std::uint64_t{slo.latency_ok ? 1u : 0u});
-  }
-
-  if (events_ != nullptr) {
-    w.type("udsim_events_written", "counter",
-           "Event-log lines written to the JSONL sink");
-    w.sample("udsim_events_written", events_->written());
-    w.type("udsim_events_dropped", "counter",
-           "Event-log lines dropped (queue full or sink unusable)");
-    w.sample("udsim_events_dropped", events_->dropped());
-  }
-
-  out += w.take();
-  return out;
-}
-
 bool SimService::cancel(std::uint64_t request_id) {
   std::lock_guard lock(mu_);
   const auto it = active_.find(request_id);
@@ -455,11 +359,24 @@ void SimService::resolve(Pending& p, SimResponse&& resp) {
                     trace_now_ns());
   }
   if (events_ != nullptr) {
-    (void)events_->append(event_line(p, resp, latency_ns));
+    (void)events_->append(ResolutionEvent{
+        .trace_id = p.trace.id(),
+        .request_id = p.id,
+        .session = p.session != nullptr ? p.session->id() : 0,
+        .outcome = outcome_name(resp.outcome),
+        .engine = engine_name(resp.engine),
+        .width = static_cast<std::uint64_t>(cfg_.word_bits),
+        .cache = cache_disposition(p.trace),
+        .shed_level = resp.shed_level,
+        .attempts = resp.attempts,
+        .vectors_done = resp.vectors_done,
+        .latency_ns = latency_ns,
+        .queue_ns = resp.queue_ns,
+        .run_ns = resp.run_ns,
+        .phase_ns = p.trace.phase_totals(),
+        .detail = resp.detail});
   }
-  if (cfg_.telemetry.enabled && cfg_.telemetry.trace_requests) {
-    p.trace.flush_to(metrics_);
-  }
+  p.trace.flush_to(metrics_);  // no-op when telemetry is off (trace id 0)
   if (p.session != nullptr) {
     p.session->record(resp.outcome, latency_ns, resp.queue_ns);
   }
@@ -469,43 +386,6 @@ void SimService::resolve(Pending& p, SimResponse&& resp) {
     metrics_.counter("service.active").set(active_.size());
   }
   p.promise.set_value(std::move(resp));
-}
-
-std::string SimService::event_line(const Pending& p, const SimResponse& resp,
-                                   std::uint64_t latency_ns) const {
-  JsonValue e = JsonValue::make_object();
-  e.set("trace_id", JsonValue::make_uint(p.trace.id()));
-  e.set("request_id", JsonValue::make_uint(p.id));
-  e.set("session",
-        JsonValue::make_uint(p.session != nullptr ? p.session->id() : 0));
-  e.set("outcome", JsonValue::make_string(outcome_name(resp.outcome)));
-  e.set("engine", JsonValue::make_string(engine_name(resp.engine)));
-  e.set("width", JsonValue::make_uint(
-                     static_cast<std::uint64_t>(cfg_.word_bits)));
-  e.set("cache", JsonValue::make_string(cache_disposition(p.trace)));
-  e.set("shed_level", JsonValue::make_uint(resp.shed_level));
-  e.set("attempts", JsonValue::make_uint(resp.attempts));
-  e.set("vectors_done", JsonValue::make_uint(resp.vectors_done));
-  e.set("latency_ns", JsonValue::make_uint(latency_ns));
-  e.set("queue_ns", JsonValue::make_uint(resp.queue_ns));
-  e.set("run_ns", JsonValue::make_uint(resp.run_ns));
-  JsonValue phases = JsonValue::make_object();
-  for (const RequestPhase ph :
-       {RequestPhase::Admission, RequestPhase::QueueWait,
-        RequestPhase::ShedDecide, RequestPhase::CacheHit,
-        RequestPhase::CacheWait, RequestPhase::CacheBuild,
-        RequestPhase::RunAttempt, RequestPhase::Backoff}) {
-    const std::uint64_t ns = p.trace.phase_ns(ph);
-    if (ns != 0) {
-      phases.set(std::string(request_phase_name(ph)),
-                 JsonValue::make_uint(ns));
-    }
-  }
-  e.set("phase_ns", std::move(phases));
-  if (!resp.detail.empty()) {
-    e.set("detail", JsonValue::make_string(resp.detail));
-  }
-  return e.dump(0);
 }
 
 ServiceTicket SimService::submit(SessionId session, SimRequest req) {

@@ -77,9 +77,6 @@ struct TelemetryConfig {
   /// block a worker).
   std::string event_log_path;
   std::size_t event_log_capacity = 1024;
-  /// Flush each finished RequestTrace into the registry's trace buffer so
-  /// the Perfetto export grows per-request lanes next to the thread lanes.
-  bool trace_requests = true;
 };
 
 struct ServiceConfig {
@@ -211,12 +208,6 @@ class SimService {
   /// through JsonValue::parse.
   [[nodiscard]] std::string status_json() const;
 
-  /// Prometheus text exposition: every registry counter/histogram plus
-  /// typed gauges for queue depth, breaker/health/shed state, quarantine
-  /// population, windowed outcome counts, latency percentiles and the SLO
-  /// view. Always passes validate_prometheus_text().
-  [[nodiscard]] std::string prometheus_text() const;
-
   /// The rolling outcome/latency window, or nullptr when telemetry is off.
   [[nodiscard]] const RollingWindow* window() const noexcept {
     return window_.get();
@@ -248,10 +239,6 @@ class SimService {
   /// Exactly-once resolution: first caller wins, records outcome counters
   /// and per-session metrics, erases the active entry, fulfills the future.
   void resolve(Pending& p, SimResponse&& resp);
-  /// Render the one-line event-log JSON for a resolved request.
-  [[nodiscard]] std::string event_line(const Pending& p,
-                                       const SimResponse& resp,
-                                       std::uint64_t latency_ns) const;
 
   ServiceConfig cfg_;
   mutable MetricsRegistry metrics_;  // internally thread-safe; const reads

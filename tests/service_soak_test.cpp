@@ -31,7 +31,6 @@
 
 #include "core/simulator.h"
 #include "gen/iscas_profiles.h"
-#include "obs/exporter.h"
 #include "obs/json.h"
 #include "resilience/fault_injection.h"
 #include "service/sim_service.h"
@@ -387,19 +386,13 @@ TEST(ServiceSoakTest, ToolchainOutagePhase) {
   }
   EXPECT_TRUE(breaker_named) << svc.health_json();
 
-  // Mid-outage scrape (ISSUE 10): the telemetry surfaces must carry the
-  // live degraded state — a monitoring agent polling during the outage sees
-  // the open breaker in both the status document and the exposition, and
-  // both stay well-formed while the service is limping.
+  // Mid-outage scrape: the status document must carry the live degraded
+  // state — a monitoring agent polling during the outage sees the open
+  // breaker, and the document stays well-formed while the service limps.
   const JsonValue status = JsonValue::parse(svc.status_json());
   EXPECT_EQ(status.at("service").at("breaker").string, "open")
       << svc.status_json();
   EXPECT_NE(status.at("health").at("state").string, "healthy");
-  const std::string expo = svc.prometheus_text();
-  std::string why;
-  EXPECT_TRUE(validate_prometheus_text(expo, &why)) << why;
-  EXPECT_NE(expo.find("udsim_service_breaker_state 1"), std::string::npos)
-      << "open breaker (state 1) not visible in the exposition";
 
   svc.shutdown();
   fs::remove_all(dir, ec);

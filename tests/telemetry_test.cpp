@@ -2,9 +2,9 @@
 // health_json() round-trip through the hardened obs/json parser with every
 // documented section and exact uint64 counters, the windowed outcome totals
 // match the exactly-once outcome counters over the wire, responses carry
-// trace ids that also tag the shard spans in the trace buffer, the
-// Prometheus exposition validates (and the validator itself rejects
-// malformed text), and the JSONL event log accounts for every resolution.
+// trace ids that also tag the shard spans in the trace buffer, the status
+// document covers the live service state, and the JSONL event log accounts
+// for every resolution with lines byte-identical to the obs/json DOM's.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -17,7 +17,6 @@
 
 #include "gen/iscas_profiles.h"
 #include "obs/event_log.h"
-#include "obs/exporter.h"
 #include "obs/json.h"
 #include "service/sim_service.h"
 
@@ -191,38 +190,15 @@ TEST(TelemetryTest, DisabledTelemetryLeavesNoTraceOrWindow) {
   EXPECT_FALSE(doc.has("window"));
 }
 
-TEST(TelemetryTest, PrometheusExpositionValidatesAndCoversServiceState) {
+TEST(TelemetryTest, StatusJsonCoversServiceState) {
   DrivenService d = drive(ServiceConfig{});
-  const std::string text = d.svc->prometheus_text();
-  std::string why;
-  EXPECT_TRUE(validate_prometheus_text(text, &why)) << why;
-  for (const char* needle :
-       {"udsim_service_queue_depth", "udsim_service_breaker_state",
-        "udsim_window_outcome_total", "udsim_slo_availability",
-        "udsim_service_health_state"}) {
-    EXPECT_NE(text.find(needle), std::string::npos) << "missing " << needle;
-  }
-}
-
-TEST(TelemetryTest, PrometheusValidatorRejectsMalformedText) {
-  auto bad = [](std::string_view text) {
-    return !validate_prometheus_text(text);
-  };
-  EXPECT_FALSE(bad("udsim_x 1\n"));
-  EXPECT_FALSE(bad("udsim_x{label=\"a b\"} 1.5 1234\n"));
-  EXPECT_FALSE(bad("udsim_x +Inf\n"));
-  EXPECT_TRUE(bad("9leading_digit 1\n"));
-  EXPECT_TRUE(bad("udsim_x{unbalanced=\"a\" 1\n"));
-  EXPECT_TRUE(bad("udsim_x notanumber\n"));
-  EXPECT_TRUE(bad("udsim_x\n"));
-  EXPECT_TRUE(bad("# TYPE udsim_x nonsense\n"));
-}
-
-TEST(TelemetryTest, PrometheusNameSanitizesTheDottedRegistryNames) {
-  EXPECT_EQ(prometheus_name("service.outcome.completed"),
-            "udsim_service_outcome_completed");
-  EXPECT_EQ(prometheus_name("exec.ops/sec"), "udsim_exec_ops_sec");
-  EXPECT_EQ(prometheus_name("9lives", ""), "_9lives");
+  const JsonValue doc = JsonValue::parse(d.svc->status_json());
+  EXPECT_TRUE(doc.at("service").at("queue_depth").is_integer);
+  EXPECT_EQ(doc.at("service").at("breaker").string, "closed");
+  EXPECT_EQ(doc.at("health").at("state").string, "healthy");
+  const JsonValue& totals = doc.at("window").at("outcome_totals");
+  EXPECT_EQ(totals.at("completed").as_u64(), d.offered - 2);
+  EXPECT_TRUE(doc.at("slo").at("availability").is_number());
 }
 
 TEST(TelemetryTest, EventLogAccountsForEveryResolution) {
@@ -262,12 +238,81 @@ TEST(TelemetryTest, EventLogAccountsForEveryResolution) {
   std::remove(path.c_str());
 }
 
+/// Reference rendering of an event line: the same fields built through the
+/// obs/json DOM and dumped on one line.
+std::string dom_event_line(const ResolutionEvent& r) {
+  JsonValue e = JsonValue::make_object();
+  e.set("trace_id", JsonValue::make_uint(r.trace_id));
+  e.set("request_id", JsonValue::make_uint(r.request_id));
+  e.set("session", JsonValue::make_uint(r.session));
+  e.set("outcome", JsonValue::make_string(r.outcome));
+  e.set("engine", JsonValue::make_string(r.engine));
+  e.set("width", JsonValue::make_uint(r.width));
+  e.set("cache", JsonValue::make_string(r.cache));
+  e.set("shed_level", JsonValue::make_uint(r.shed_level));
+  e.set("attempts", JsonValue::make_uint(r.attempts));
+  e.set("vectors_done", JsonValue::make_uint(r.vectors_done));
+  e.set("latency_ns", JsonValue::make_uint(r.latency_ns));
+  e.set("queue_ns", JsonValue::make_uint(r.queue_ns));
+  e.set("run_ns", JsonValue::make_uint(r.run_ns));
+  JsonValue phases = JsonValue::make_object();
+  for (const RequestPhase ph :
+       {RequestPhase::Admission, RequestPhase::QueueWait,
+        RequestPhase::ShedDecide, RequestPhase::CacheHit,
+        RequestPhase::CacheWait, RequestPhase::CacheBuild,
+        RequestPhase::RunAttempt, RequestPhase::Backoff}) {
+    const std::uint64_t ns = r.phase_ns[static_cast<std::size_t>(ph)];
+    if (ns != 0) {
+      phases.set(std::string(request_phase_name(ph)), JsonValue::make_uint(ns));
+    }
+  }
+  e.set("phase_ns", std::move(phases));
+  if (!r.detail.empty()) e.set("detail", JsonValue::make_string(r.detail));
+  return e.dump(0);
+}
+
+TEST(TelemetryTest, EventLineRendererMatchesTheDomByteForByte) {
+  ResolutionEvent base{.trace_id = 18446744073709551615ull,
+                       .request_id = 7,
+                       .session = 3,
+                       .outcome = "completed",
+                       .engine = "parallel",
+                       .width = 64,
+                       .cache = "hit",
+                       .shed_level = 1,
+                       .attempts = 2,
+                       .vectors_done = 64,
+                       .latency_ns = 181042,
+                       .queue_ns = 12166,
+                       .run_ns = 160935,
+                       .detail = ""};
+  ResolutionEvent all_phases = base;
+  for (std::size_t i = 0; i < all_phases.phase_ns.size(); ++i) {
+    all_phases.phase_ns[i] = 1000 + i;
+  }
+  ResolutionEvent with_detail = all_phases;
+  with_detail.detail = "quote \" slash \\ newline \n ctrl \x01 tab \t "
+                       "utf8 \xc3\xa9\xe2\x86\x92";
+
+  for (const ResolutionEvent& r : {base, all_phases, with_detail}) {
+    const std::string line = render_event_line(r);
+    EXPECT_EQ(line, dom_event_line(r));
+    const JsonValue parsed = JsonValue::parse(line);
+    EXPECT_EQ(parsed.at("trace_id").as_u64(), r.trace_id);
+    EXPECT_EQ(parsed.has("detail"), !r.detail.empty());
+  }
+  EXPECT_NE(render_event_line(base).find("\"phase_ns\": {}"),
+            std::string::npos);
+  EXPECT_EQ(JsonValue::parse(render_event_line(with_detail)).at("detail").string,
+            with_detail.detail);
+}
+
 TEST(TelemetryTest, EventLogOnUnusableSinkDropsAndCountsInsteadOfFailing) {
   EventLogConfig cfg;
   cfg.path = "no-such-dir-telemetry-test/sub/events.jsonl";
   JsonlEventLog log(cfg);
   EXPECT_FALSE(log.ok());
-  EXPECT_FALSE(log.append("{\"k\":1}"));
+  EXPECT_FALSE(log.append(ResolutionEvent{}));
   log.flush();
   EXPECT_EQ(log.written(), 0u);
   EXPECT_EQ(log.dropped(), 1u);
