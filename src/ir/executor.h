@@ -1,9 +1,12 @@
 // Executor for straight-line programs.
 //
 // `execute` runs one input vector through the program: a single pass over
-// the op vector with a tight dispatch switch — the in-process equivalent of
-// the paper's compiled C code (see ir/c_emitter.h for the out-of-process
-// equivalent, and bench/ablation_emitted_c for the comparison of the two).
+// the op vector — the in-process equivalent of the paper's compiled C code
+// (see ir/c_emitter.h for the out-of-process equivalent, and
+// bench/ablation_emitted_c for the comparison of the two). Compiled
+// programs are run-ordered (ir/schedule.h): their ops come in runs of one
+// opcode, and each threaded handler loops over its run, so dispatch costs
+// one indirect jump per run rather than one per op.
 #pragma once
 
 #include <cassert>
@@ -130,10 +133,12 @@ void execute(const Program& p, std::span<const Word> in, std::span<Word> arena) 
 
 #if defined(__GNUC__) && !defined(UDSIM_NO_COMPUTED_GOTO)
   // Threaded-code dispatch (the technique of the paper's reference [8],
-  // used by the tortle.c simulator it cites): each handler jumps directly
-  // to the next op's handler, giving the branch predictor one indirect
-  // site per opcode instead of a single giant switch. On mixed-opcode
-  // straight-line programs this roughly halves dispatch cost.
+  // used by the tortle.c simulator it cites) over run-ordered programs.
+  // Every compiler ends with schedule_runs (ir/schedule.h), which groups the
+  // ops into runs of one opcode, so each handler is a loop over its run and
+  // the one indirect jump per run goes to the next run's handler. Programs
+  // not run-ordered (fault-forced copies, hand-built ones) execute the same,
+  // with shorter runs.
   static const void* const kLabels[] = {
       &&l_Const,      &&l_Copy,    &&l_Not,     &&l_And,     &&l_Or,
       &&l_Xor,        &&l_Nand,    &&l_Nor,     &&l_Xnor,    &&l_AccAnd,
@@ -147,86 +152,45 @@ void execute(const Program& p, std::span<const Word> in, std::span<Word> arena) 
   const Op* op = p.ops.data();
   const Op* const end = op + p.ops.size();
   if (op == end) return;
-#define UDSIM_DISPATCH()                                     \
-  do {                                                       \
-    if (++op == end) return;                                 \
-    goto* kLabels[static_cast<std::uint8_t>(op->code)];      \
-  } while (0)
+#define UDSIM_RUN(X, ...)                                      \
+  l_##X:                                                       \
+  do {                                                         \
+    __VA_ARGS__;                                               \
+  } while (++op != end && op->code == OpCode::X);              \
+  if (op == end) return;                                       \
   goto* kLabels[static_cast<std::uint8_t>(op->code)];
-l_Const:
-  w[op->dst] = op->imm ? static_cast<Word>(~Word{0}) : Word{0};
-  UDSIM_DISPATCH();
-l_Copy:
-  w[op->dst] = w[op->a];
-  UDSIM_DISPATCH();
-l_Not:
-  w[op->dst] = static_cast<Word>(~w[op->a]);
-  UDSIM_DISPATCH();
-l_And:
-  w[op->dst] = w[op->a] & w[op->b];
-  UDSIM_DISPATCH();
-l_Or:
-  w[op->dst] = w[op->a] | w[op->b];
-  UDSIM_DISPATCH();
-l_Xor:
-  w[op->dst] = w[op->a] ^ w[op->b];
-  UDSIM_DISPATCH();
-l_Nand:
-  w[op->dst] = static_cast<Word>(~(w[op->a] & w[op->b]));
-  UDSIM_DISPATCH();
-l_Nor:
-  w[op->dst] = static_cast<Word>(~(w[op->a] | w[op->b]));
-  UDSIM_DISPATCH();
-l_Xnor:
-  w[op->dst] = static_cast<Word>(~(w[op->a] ^ w[op->b]));
-  UDSIM_DISPATCH();
-l_AccAnd:
-  w[op->dst] &= w[op->a];
-  UDSIM_DISPATCH();
-l_AccOr:
-  w[op->dst] |= w[op->a];
-  UDSIM_DISPATCH();
-l_AccXor:
-  w[op->dst] ^= w[op->a];
-  UDSIM_DISPATCH();
-l_MaskedCopy:
-  w[op->dst] = static_cast<Word>((w[op->dst] & ~w[op->b]) | (w[op->a] & w[op->b]));
-  UDSIM_DISPATCH();
-l_LoadBit:
-  w[op->dst] = iv[op->a] & Word{1};
-  UDSIM_DISPATCH();
-l_LoadBcast:
-  w[op->dst] = static_cast<Word>(Word{0} - (iv[op->a] & Word{1}));
-  UDSIM_DISPATCH();
-l_LoadWord:
-  w[op->dst] = iv[op->a];
-  UDSIM_DISPATCH();
-l_ExtractBit:
-  w[op->dst] = (w[op->a] >> op->imm) & Word{1};
-  UDSIM_DISPATCH();
-l_BcastBit:
-  w[op->dst] = static_cast<Word>(Word{0} - ((w[op->a] >> op->imm) & Word{1}));
-  UDSIM_DISPATCH();
-l_Shl:
-  w[op->dst] = static_cast<Word>(w[op->a] << op->imm);
-  UDSIM_DISPATCH();
-l_Shr:
-  w[op->dst] = static_cast<Word>(w[op->a] >> op->imm);
-  UDSIM_DISPATCH();
-l_ShlOr:
-  w[op->dst] |= static_cast<Word>(w[op->a] << op->imm);
-  UDSIM_DISPATCH();
-l_MaskShlOr:
-  w[op->dst] = static_cast<Word>((w[op->dst] & ((Word{1} << op->imm) - 1)) |
-                                 (w[op->a] << op->imm));
-  UDSIM_DISPATCH();
-l_FunnelL:
-  w[op->dst] = static_cast<Word>((w[op->a] << op->imm) | (w[op->b] >> (W - op->imm)));
-  UDSIM_DISPATCH();
-l_FunnelR:
-  w[op->dst] = static_cast<Word>((w[op->a] >> op->imm) | (w[op->b] << (W - op->imm)));
-  UDSIM_DISPATCH();
-#undef UDSIM_DISPATCH
+  goto* kLabels[static_cast<std::uint8_t>(op->code)];
+  UDSIM_RUN(Const, w[op->dst] = op->imm ? static_cast<Word>(~Word{0}) : Word{0})
+  UDSIM_RUN(Copy, w[op->dst] = w[op->a])
+  UDSIM_RUN(Not, w[op->dst] = static_cast<Word>(~w[op->a]))
+  UDSIM_RUN(And, w[op->dst] = w[op->a] & w[op->b])
+  UDSIM_RUN(Or, w[op->dst] = w[op->a] | w[op->b])
+  UDSIM_RUN(Xor, w[op->dst] = w[op->a] ^ w[op->b])
+  UDSIM_RUN(Nand, w[op->dst] = static_cast<Word>(~(w[op->a] & w[op->b])))
+  UDSIM_RUN(Nor, w[op->dst] = static_cast<Word>(~(w[op->a] | w[op->b])))
+  UDSIM_RUN(Xnor, w[op->dst] = static_cast<Word>(~(w[op->a] ^ w[op->b])))
+  UDSIM_RUN(AccAnd, w[op->dst] &= w[op->a])
+  UDSIM_RUN(AccOr, w[op->dst] |= w[op->a])
+  UDSIM_RUN(AccXor, w[op->dst] ^= w[op->a])
+  UDSIM_RUN(MaskedCopy, w[op->dst] = static_cast<Word>((w[op->dst] & ~w[op->b]) |
+                                                        (w[op->a] & w[op->b])))
+  UDSIM_RUN(LoadBit, w[op->dst] = iv[op->a] & Word{1})
+  UDSIM_RUN(LoadBcast, w[op->dst] = static_cast<Word>(Word{0} - (iv[op->a] & Word{1})))
+  UDSIM_RUN(LoadWord, w[op->dst] = iv[op->a])
+  UDSIM_RUN(ExtractBit, w[op->dst] = (w[op->a] >> op->imm) & Word{1})
+  UDSIM_RUN(BcastBit, w[op->dst] = static_cast<Word>(
+                          Word{0} - ((w[op->a] >> op->imm) & Word{1})))
+  UDSIM_RUN(Shl, w[op->dst] = static_cast<Word>(w[op->a] << op->imm))
+  UDSIM_RUN(Shr, w[op->dst] = static_cast<Word>(w[op->a] >> op->imm))
+  UDSIM_RUN(ShlOr, w[op->dst] |= static_cast<Word>(w[op->a] << op->imm))
+  UDSIM_RUN(MaskShlOr, w[op->dst] = static_cast<Word>(
+                           (w[op->dst] & ((Word{1} << op->imm) - 1)) |
+                           (w[op->a] << op->imm)))
+  UDSIM_RUN(FunnelL, w[op->dst] = static_cast<Word>((w[op->a] << op->imm) |
+                                                    (w[op->b] >> (W - op->imm))))
+  UDSIM_RUN(FunnelR, w[op->dst] = static_cast<Word>((w[op->a] >> op->imm) |
+                                                    (w[op->b] << (W - op->imm))))
+#undef UDSIM_RUN
 #else
   execute_switch<Word>(p, in, arena);
 #endif

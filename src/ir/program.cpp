@@ -40,27 +40,9 @@ bool lane_parallel(const Program& p, std::span<const ArenaProbe> probes) {
   for (std::uint32_t w = 0; w < p.arena_words; ++w) fresh[w] = !written[w];
   const auto read = [&](std::uint32_t w) { return w < p.arena_words && fresh[w]; };
   for (const Op& op : p.ops) {
+    const OpReads r = arena_reads(op);
     bool f = true;
-    switch (op.code) {
-      case OpCode::Const:
-      case OpCode::LoadWord:
-        break;
-      case OpCode::Copy:
-      case OpCode::Not:
-        f = read(op.a);
-        break;
-      case OpCode::AccAnd:
-      case OpCode::AccOr:
-      case OpCode::AccXor:
-        f = read(op.dst) && read(op.a);
-        break;
-      case OpCode::MaskedCopy:
-        f = read(op.dst) && read(op.a) && read(op.b);
-        break;
-      default:  // two-operand gates
-        f = read(op.a) && read(op.b);
-        break;
-    }
+    for (int k = 0; k < r.count; ++k) f = f && read(r.word[k]);
     fresh[op.dst] = f;
   }
   for (const ArenaProbe& pr : probes) {

@@ -4,7 +4,8 @@
 // arena (net variables / bit-fields survive from vector to vector, exactly
 // like the paper's C globals). One execution of the program simulates one
 // input vector; there are no branches or queues — the defining property of
-// Levelized Compiled Code simulation.
+// Levelized Compiled Code simulation. Compilers hand back their ops
+// run-ordered, grouped into runs of one opcode (ir/schedule.h).
 //
 // The same program text runs at any word size (32-bit to match the paper's
 // word counts, 64/128/256-bit for the wide lanes); shift immediates are
@@ -78,6 +79,57 @@ struct Program {
 
   [[nodiscard]] std::size_t size() const noexcept { return ops.size(); }
 };
+
+/// The distinct arena words one op reads: `a` unless it is an input index
+/// (Load*), `b` for two-operand and funnel ops, and `dst` for the
+/// read-modify-write ops (Acc*, MaskedCopy, ShlOr, MaskShlOr).
+struct OpReads {
+  std::uint32_t word[3];
+  int count = 0;
+};
+
+[[nodiscard]] constexpr OpReads arena_reads(const Op& op) noexcept {
+  OpReads r{};
+  const auto add = [&r](std::uint32_t w) {
+    for (int i = 0; i < r.count; ++i) {
+      if (r.word[i] == w) return;
+    }
+    r.word[r.count++] = w;
+  };
+  switch (op.code) {
+    case OpCode::Const:
+    case OpCode::LoadBit:
+    case OpCode::LoadBcast:
+    case OpCode::LoadWord:
+      break;
+    case OpCode::Copy:
+    case OpCode::Not:
+    case OpCode::ExtractBit:
+    case OpCode::BcastBit:
+    case OpCode::Shl:
+    case OpCode::Shr:
+      add(op.a);
+      break;
+    case OpCode::AccAnd:
+    case OpCode::AccOr:
+    case OpCode::AccXor:
+    case OpCode::ShlOr:
+    case OpCode::MaskShlOr:
+      add(op.a);
+      add(op.dst);
+      break;
+    case OpCode::MaskedCopy:
+      add(op.a);
+      add(op.b);
+      add(op.dst);
+      break;
+    default:  // two-operand gates and funnel shifts
+      add(op.a);
+      add(op.b);
+      break;
+  }
+  return r;
+}
 
 /// Location of one bit inside a compiled program's word arena. The compiled
 /// engines expose the arena position of each net's settled value as an

@@ -2,6 +2,7 @@
 
 #include "analysis/levelize.h"
 #include "ir/emit_util.h"
+#include "ir/schedule.h"
 #include "obs/metrics.h"
 
 namespace udsim {
@@ -48,11 +49,9 @@ LccCompiled compile_lcc(const Netlist& nl, int word_bits,
   {
     guard.check_cancel("compile.emit");
     TraceSpan span(reg, "compile.emit");
-    out.def_end.assign(nl.net_count(), 0);
     for (std::uint32_t i = 0; i < nl.primary_inputs().size(); ++i) {
       const NetId pi = nl.primary_inputs()[i];
       p.ops.push_back({OpCode::LoadWord, 0, out.net_var[pi.value], i, 0});
-      out.def_end[pi.value] = static_cast<std::uint32_t>(p.ops.size());
     }
     std::vector<std::uint32_t> operands;
     for (GateId gid : order) {
@@ -61,7 +60,15 @@ LccCompiled compile_lcc(const Netlist& nl, int word_bits,
       operands.clear();
       for (NetId in : g.inputs) operands.push_back(out.net_var[in.value]);
       emit_gate_word(p.ops, g.type, out.net_var[g.output.value], operands);
-      out.def_end[g.output.value] = static_cast<std::uint32_t>(p.ops.size());
+    }
+    schedule_runs(p);
+    // def_end from the run-ordered program: one past each variable's last
+    // writer, so forcing splices after the net's whole definition.
+    std::vector<std::uint32_t> last_write(p.arena_words, 0);
+    for (std::uint32_t i = 0; i < p.ops.size(); ++i) last_write[p.ops[i].dst] = i + 1;
+    out.def_end.resize(nl.net_count());
+    for (std::uint32_t n = 0; n < nl.net_count(); ++n) {
+      out.def_end[n] = last_write[out.net_var[n]];
     }
   }
   if (reg) {

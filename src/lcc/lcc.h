@@ -18,9 +18,9 @@ namespace udsim {
 struct LccCompiled {
   Program program;
   std::vector<std::uint32_t> net_var;  ///< arena word of each net's value
-  /// Per net: one past the index of the op that finishes computing its
-  /// variable (0 when the value comes from arena_init, i.e. constants).
-  /// Fault simulation splices forcing ops at these points.
+  /// Per net: one past the position of the last op writing its variable in
+  /// the run-ordered program (0 when the value comes from arena_init, i.e.
+  /// constants). Fault simulation splices forcing ops at these points.
   std::vector<std::uint32_t> def_end;
 };
 

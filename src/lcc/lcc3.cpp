@@ -1,6 +1,7 @@
 #include "lcc/lcc3.h"
 
 #include "analysis/levelize.h"
+#include "ir/schedule.h"
 
 namespace udsim {
 
@@ -152,6 +153,7 @@ Lcc3Compiled compile_lcc3(const Netlist& nl, bool packed, int word_bits) {
   for (GateId gid : topological_gate_order(nl)) {
     emitter.emit(nl, gid);
   }
+  schedule_runs(p);
   return out;
 }
 

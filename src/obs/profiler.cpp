@@ -125,31 +125,44 @@ ProgramProfile profile_program(const Program& p, const ProfileAttribution& attr,
   const std::size_t nets = attr.net_name.size();
   std::vector<std::uint64_t> net_ops(nets, 0);
 
-  // Backward scan: an op storing into a net's field attributes itself and
-  // every preceding scratch op (the computation feeding that store).
-  std::uint32_t carry_net = ProfileAttribution::kNoNet;
-  int carry_level = -1;
+  // Backward dataflow scan. An op storing into a net's field charges
+  // itself to that (level, net). A scratch op charges the key of the ops
+  // that read the value it writes: owner[w] holds, for scratch word w, the
+  // lowest key among the readers of its live value seen so far. Readers of
+  // one value may come in any order, and the lowest key does not depend on
+  // it, so the profile is the same under every order that keeps each
+  // word's reads and writes in order (ir/schedule.h). A scratch value no
+  // net store consumes lands in `unattributed`.
+  constexpr std::uint64_t kUnowned = ~std::uint64_t{0};
+  const auto is_net_word = [&](std::uint32_t w) {
+    return w < attr.word_net.size() && attr.word_net[w] != ProfileAttribution::kNoNet;
+  };
+  std::vector<std::uint64_t> owner(
+      std::max<std::size_t>(p.arena_words, attr.word_net.size()), kUnowned);
   for (auto it = p.ops.rbegin(); it != p.ops.rend(); ++it) {
     const Op& op = *it;
-    std::uint32_t net = op.dst < attr.word_net.size()
-                            ? attr.word_net[op.dst]
-                            : ProfileAttribution::kNoNet;
-    int level;
-    if (net != ProfileAttribution::kNoNet) {
-      level = attr.word_level[op.dst];
-      carry_net = net;
-      carry_level = level;
-    } else {
-      net = carry_net;
-      level = carry_level;
+    std::uint64_t key = kUnowned;
+    if (is_net_word(op.dst)) {
+      const int level = attr.word_level[op.dst];
+      if (level >= 0 && level <= attr.depth) {
+        key = (static_cast<std::uint64_t>(level) << 32) | attr.word_net[op.dst];
+      }
+    } else if (op.dst < owner.size()) {
+      key = owner[op.dst];
+      owner[op.dst] = kUnowned;  // dead before this op writes it
+    }
+    const OpReads reads = arena_reads(op);
+    for (int k = 0; k < reads.count; ++k) {
+      const std::uint32_t w = reads.word[k];
+      if (!is_net_word(w) && w < owner.size()) owner[w] = std::min(owner[w], key);
     }
     const ProgramPassCost c = op_pass_cost(op);
     prof.total += c;
-    if (net == ProfileAttribution::kNoNet || level < 0 || level > attr.depth) {
+    if (key == kUnowned) {
       prof.unattributed.cost += c;
     } else {
-      prof.levels[static_cast<std::size_t>(level)].cost += c;
-      net_ops[net] += c.ops;
+      prof.levels[static_cast<std::size_t>(key >> 32)].cost += c;
+      net_ops[static_cast<std::uint32_t>(key)] += c.ops;
     }
   }
 

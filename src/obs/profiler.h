@@ -10,12 +10,14 @@
 // program_pass_cost, which the invariant tests assert for every ISCAS
 // profile × engine variant.
 //
-// Scratch attribution uses the emitters' store discipline: gates compute
-// into scratch words and then store to the owning net's field, so a single
-// backward scan can hand each scratch op to the net whose store it feeds
-// (the nearest following op whose dst is net-owned). Ops after the final
-// net store (none today) land in the explicit `unattributed` bucket rather
-// than being dropped, keeping the sum lossless by construction.
+// Scratch attribution follows dataflow: gates compute into scratch words
+// and then store to the owning net's field, so a single backward scan hands
+// each scratch op to the net store that consumes its value (the lowest
+// (level, net) when several do). The profile therefore does not depend on
+// op order, only on dataflow, and is the same for a compiler's emission
+// order and its run order (ir/schedule.h). Scratch values no net store
+// consumes land in the explicit `unattributed` bucket rather than being
+// dropped, keeping the sum lossless by construction.
 #pragma once
 
 #include <cstdint>

@@ -6,6 +6,7 @@
 
 #include "analysis/pcset.h"
 #include "ir/emit_util.h"
+#include "ir/schedule.h"
 #include "obs/metrics.h"
 
 namespace udsim {
@@ -494,6 +495,7 @@ ParallelCompiled compile_parallel(const Netlist& nl, const ParallelOptions& opti
     TraceSpan span(reg, "compile.emit");
     ParallelEmitter emitter(nl, out);
     emitter.run();
+    schedule_runs(out.program);
   }
   if (reg) {
     reg->counter("compile.programs").add(1);

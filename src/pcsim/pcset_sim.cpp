@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "ir/emit_util.h"
+#include "ir/schedule.h"
 #include "obs/metrics.h"
 
 namespace udsim {
@@ -151,6 +152,7 @@ PCSetCompiled compile_pcset(const Netlist& nl, std::span<const NetId> monitored,
       emit_gate_word(p.ops, g.type, var_of(g.output, t), operands);
     }
   }
+  schedule_runs(p);
 
   // ---- output routine: the PRINT pseudo-gate -------------------------------
   DynBitset print_set(static_cast<std::size_t>(lv.depth) + 1);

@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <random>
 #include <utility>
 #include <vector>
 
 #include "core/batch_runner.h"
 #include "core/waveform.h"
+#include "ir/program.h"
 #include "netlist/netlist.h"
 
 namespace udsim::test {
@@ -114,6 +117,56 @@ inline Netlist wired_network(WiredKind kind = WiredKind::And) {
   nl.add_gate(GateType::Or, {w, a}, o);
   nl.mark_primary_output(o);
   return nl;
+}
+
+/// A random reordering of `p.ops` that keeps every read-after-write,
+/// write-after-read and write-after-write pair on an arena word in order
+/// (input reads are not hazards): a topological order of the hazard graph
+/// that picks a uniformly random ready op at each step. Any such order
+/// leaves the arena exactly as `p` does, pass after pass.
+inline Program dependency_preserving_shuffle(const Program& p, std::uint64_t seed) {
+  const std::size_t n = p.ops.size();
+  std::uint32_t words = p.arena_words;
+  for (const Op& op : p.ops) words = std::max(words, op.dst + 1);
+  std::vector<std::vector<std::uint32_t>> succ(n);
+  std::vector<std::uint32_t> indeg(n, 0);
+  std::vector<std::int64_t> writer(words, -1);
+  std::vector<std::vector<std::uint32_t>> readers(words);
+  const auto edge = [&](std::int64_t from, std::uint32_t to) {
+    if (from < 0) return;
+    succ[static_cast<std::size_t>(from)].push_back(to);
+    ++indeg[to];
+  };
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const Op& op = p.ops[i];
+    const OpReads r = arena_reads(op);
+    for (int k = 0; k < r.count; ++k) edge(writer[r.word[k]], i);
+    edge(writer[op.dst], i);
+    for (const std::uint32_t rd : readers[op.dst]) edge(rd, i);
+    writer[op.dst] = i;
+    readers[op.dst].clear();
+    for (int k = 0; k < r.count; ++k) {
+      if (r.word[k] != op.dst) readers[r.word[k]].push_back(i);
+    }
+  }
+  std::mt19937_64 rng(seed);
+  std::vector<std::uint32_t> ready;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (indeg[i] == 0) ready.push_back(i);
+  }
+  Program out = p;
+  out.ops.clear();
+  while (!ready.empty()) {
+    const std::size_t pick = rng() % ready.size();
+    const std::uint32_t i = ready[pick];
+    ready[pick] = ready.back();
+    ready.pop_back();
+    out.ops.push_back(p.ops[i]);
+    for (const std::uint32_t j : succ[i]) {
+      if (--indeg[j] == 0) ready.push_back(j);
+    }
+  }
+  return out;
 }
 
 }  // namespace udsim::test
