@@ -8,6 +8,7 @@
 
 #include "core/width_dispatch.h"
 #include "ir/wide_word.h"
+#include "native/native_backend.h"
 #include "netlist/diagnostics.h"
 #include "obs/request_trace.h"
 
@@ -49,7 +50,8 @@ BatchRunner::BatchRunner(const Program& program, std::vector<ArenaProbe> probes,
     : program_(program),
       probes_(std::move(probes)),
       options_(std::move(options)),
-      pool_(options_.num_threads) {
+      threads_(options_.num_threads != 0 ? options_.num_threads
+                                         : ThreadPool::hardware_threads()) {
   if (!width_available(program_.word_bits)) {
     const std::string msg = "BatchRunner: program word size " +
                             std::to_string(program_.word_bits) +
@@ -59,6 +61,11 @@ BatchRunner::BatchRunner(const Program& program, std::vector<ArenaProbe> probes,
                             "BatchRunner", msg);
     }
     throw std::invalid_argument(msg);
+  }
+  if (options_.native != nullptr &&
+      options_.native->word_bits() != program_.word_bits) {
+    throw std::invalid_argument("BatchRunner: kernel word size differs from "
+                                "the program's");
   }
   for (const ArenaProbe& p : probes_) {
     if (p.word >= program_.arena_words ||
@@ -71,6 +78,7 @@ BatchRunner::BatchRunner(const Program& program, std::vector<ArenaProbe> probes,
     lanes_ = static_cast<unsigned>(program_.word_bits);
   }
   exec_ = ExecCounters::attach(options_.metrics, program_, options_.extra_pass_cost);
+  if (threads_ > 1) pool_.emplace(threads_);
 }
 
 std::size_t BatchRunner::shard_count(std::size_t num_vectors) const noexcept {
@@ -79,7 +87,7 @@ std::size_t BatchRunner::shard_count(std::size_t num_vectors) const noexcept {
   const std::size_t by_chunk =
       (num_vectors + options_.min_chunk - 1) / options_.min_chunk;
   return std::max<std::size_t>(
-      1, std::min({std::size_t{pool_.threads()}, groups, by_chunk}));
+      1, std::min({std::size_t{threads_}, groups, by_chunk}));
 }
 
 template <class Word>
@@ -106,6 +114,7 @@ void BatchRunner::run_shard(std::span<const Bit> inputs,
     throw std::bad_alloc();
   }
   KernelRunner<Word> runner(program_);
+  if (options_.native != nullptr) runner.set_kernel(options_.native->kernel<Word>());
   std::vector<Word> row(iw);
   constexpr std::size_t kU64 = kWordU64Lanes<Word>;
   std::vector<std::uint64_t> packed(lanes > 1 ? iw * kU64 : 0);
@@ -311,7 +320,7 @@ ResilientBatch BatchRunner::run_resilient(std::span<const Bit> inputs,
   TraceSpan span(reg, "batch.run");
   if (reg) {
     reg->counter("batch.runs").add(1);
-    reg->counter("batch.threads").set(pool_.threads());
+    reg->counter("batch.threads").set(threads_);
   }
 
   // Shards are runs of whole lane groups, so the pass count is
@@ -377,10 +386,15 @@ ResilientBatch BatchRunner::run_resilient(std::span<const Bit> inputs,
   // each shard re-enters it: its batch.shard span then carries the same
   // "request" arg as the caller's spans.
   const RequestTraceId trace_id = current_request_trace_id();
-  pool_.parallel_for(shards, [&](std::size_t s) {
+  const auto shard = [&](std::size_t s) {
     RequestTraceScope trace_scope(trace_id);
     run_shard_guarded(inputs, s, slots[s], result.values);
-  });
+  };
+  if (pool_) {
+    pool_->parallel_for(shards, shard);
+  } else {
+    shard(0);  // one thread, one shard
+  }
 
   // Graceful degradation: quarantined shards re-run sequentially on the
   // calling thread, one final attempt each. A failure here is a genuine,

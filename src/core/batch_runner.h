@@ -33,6 +33,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -51,6 +52,7 @@
 namespace udsim {
 
 class Diagnostics;
+class NativeModule;
 
 struct BatchOptions {
   unsigned num_threads = 0;    ///< worker threads; 0 = all hardware threads
@@ -74,6 +76,10 @@ struct BatchOptions {
   unsigned retry_limit = 2;
   /// Retry / quarantine / cancel events as structured records.
   Diagnostics* diag = nullptr;
+  /// Machine code compiled from the program (EngineKind::Native): every
+  /// shard's KernelRunner runs its passes through the module's kernel
+  /// instead of execute<Word>. Must be built from `program`.
+  const NativeModule* native = nullptr;
 };
 
 /// How a resilient run ended.
@@ -102,10 +108,11 @@ struct ResilientBatch {
 /// Runs a vector stream through one compiled `Program` on a worker pool:
 /// one private KernelRunner arena per shard, seam replay at shard
 /// boundaries (or lane packing, see above), outputs merged in submission
-/// order. Works over any program
-/// the compiled engines produce (LCC, PC-set, parallel and its optimized
-/// variants) at any dispatched word size (32/64/128/256 bits; wide arenas
-/// checkpoint as word_bits/64 uint64 carrier lanes per word).
+/// order. Works over any program the compiled engines produce (LCC, PC-set,
+/// parallel and its optimized variants) at any dispatched word size
+/// (32/64/128/256 bits; wide arenas checkpoint as word_bits/64 uint64
+/// carrier lanes per word), executed by execute<Word> or by the native
+/// pass kernel in BatchOptions::native.
 class BatchRunner {
  public:
   /// `probes` are the arena bits to sample after every vector (one output
@@ -140,7 +147,7 @@ class BatchRunner {
       std::span<const Bit> inputs, std::size_t num_vectors,
       const BatchCheckpoint* resume = nullptr);
 
-  [[nodiscard]] unsigned num_threads() const noexcept { return pool_.threads(); }
+  [[nodiscard]] unsigned num_threads() const noexcept { return threads_; }
   [[nodiscard]] const std::vector<ArenaProbe>& probes() const noexcept {
     return probes_;
   }
@@ -181,7 +188,10 @@ class BatchRunner {
   const Program& program_;
   std::vector<ArenaProbe> probes_;
   BatchOptions options_;
-  ThreadPool pool_;
+  unsigned threads_;  ///< resolved worker count (BatchOptions::num_threads)
+  /// Workers for multi-shard runs; absent at one thread, where the single
+  /// shard runs on the calling thread and no idle worker is spawned.
+  std::optional<ThreadPool> pool_;
   ExecCounters exec_;  ///< payload-pass counters (disengaged without metrics)
   unsigned lanes_ = 1;  ///< vectors per pass (see lanes_per_pass)
 };

@@ -1,5 +1,6 @@
 // Owns the persistent word arena of a compiled program and runs vectors
-// through it. Shared by every compiled engine (LCC, PC-set, parallel).
+// through it. Shared by every compiled engine (LCC, PC-set, parallel, and
+// the native backend, whose dlopen'd pass kernel replaces execute<Word>).
 #pragma once
 
 #include <span>
@@ -61,11 +62,16 @@ class KernelRunner {
   /// bit 0, or — for a lane_parallel program — one vector per bit lane).
   /// With a cancel token attached, a cancelled/deadline-expired token
   /// raises Cancelled *before* the pass starts, so the settled arena always
-  /// reflects whole vectors.
+  /// reflects whole vectors. The pass runs the attached kernel (set_kernel)
+  /// or, by default, execute<Word>.
   void run(std::span<const Word> in) {
     const StopReason r = poll_.poll();  // one dead branch when detached
     if (r != StopReason::None) throw Cancelled(r, "kernel.run", passes_ + 1);
-    execute<Word>(program_, in, arena_);
+    if (kernel_ != nullptr) {
+      kernel_(arena_.data(), in.data());
+    } else {
+      execute<Word>(program_, in, arena_);
+    }
     ++passes_;
     exec_.on_passes(1);  // single branch when no registry is attached
   }
@@ -87,6 +93,11 @@ class KernelRunner {
 
   /// Attach (or detach, with nullptr) a cancel token; see run().
   void set_cancel(const CancelToken* token) noexcept { poll_ = CancelPoll(token); }
+
+  /// Run every pass through `kernel` — machine code compiled from this
+  /// runner's program (NativeModule::kernel) — instead of execute<Word>.
+  /// Chosen once, before the first pass; nullptr restores execute<Word>.
+  void set_kernel(PassKernel<Word> kernel) noexcept { kernel_ = kernel; }
 
   /// Vectors executed since construction/reset.
   [[nodiscard]] std::uint64_t passes() const noexcept { return passes_; }
@@ -130,6 +141,7 @@ class KernelRunner {
  private:
   const Program& program_;
   std::vector<Word> arena_;
+  PassKernel<Word> kernel_ = nullptr;
   ExecCounters exec_;
   CancelPoll poll_{nullptr};
   std::uint64_t passes_ = 0;

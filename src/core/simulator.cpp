@@ -2,13 +2,12 @@
 
 #include <stdexcept>
 
-#include "core/batch_runner.h"
 #include "core/width_dispatch.h"
 #include "ir/wide_word.h"
 #include "eventsim/event_sim.h"
-#include "native/native_sim.h"
 #include "resilience/circuit_breaker.h"
 #include "resilience/program_validator.h"
+#include "resilience/resilient_run.h"
 #include "lcc/lcc.h"
 #include "parsim/parallel_sim.h"
 #include "pcsim/pcset_sim.h"
@@ -123,6 +122,18 @@ class EngineAdapter final : public Simulator {
   [[nodiscard]] PassExtras pass_extras() const override {
     return batch_extras(engine_);
   }
+  [[nodiscard]] const NativeModule* native_module() const noexcept override {
+    return native_.get();
+  }
+  /// EngineKind::Native: take ownership of `module` — built from this
+  /// engine's program — and step through its `kernel`; batches reach it
+  /// through native_module().
+  template <class Word>
+  void attach_native(std::unique_ptr<NativeModule> module,
+                     PassKernel<Word> kernel) {
+    native_ = std::move(module);
+    engine_.set_kernel(kernel);
+  }
   [[nodiscard]] ProgramProfile program_profile(std::size_t top_k) const override {
     if constexpr (requires { attribution_for(engine_.compiled(), nl_); }) {
       return profile_program(engine_.compiled().program,
@@ -140,54 +151,46 @@ class EngineAdapter final : public Simulator {
 
   [[nodiscard]] BatchResult run_batch(std::span<const Bit> vectors,
                                       const BatchRunOptions& opts) const override {
-    const std::size_t count = batch_vector_count(nl_, vectors);
     // Per-run overrides beat the instance-wide attachments (see
     // BatchRunOptions): a shared cached engine stays immutable while each
     // request brings its own token and registry.
     MetricsRegistry* metrics = opts.metrics ? opts.metrics : metrics_;
     const CancelToken* cancel = opts.cancel ? opts.cancel : cancel_;
+    if (batch_program(engine_) != nullptr) {
+      // The one compiled batch path; a stop raises like BatchRunner::run.
+      ResilientResult r = run_batch_resilient(
+          *this, vectors,
+          ResilientOptions{.num_threads = opts.num_threads,
+                           .cancel = cancel,
+                           .metrics = metrics,
+                           .validate = false});
+      if (r.status != RunStatus::Complete) {
+        throw Cancelled(r.status == RunStatus::Cancelled ? StopReason::Cancelled
+                                                         : StopReason::Deadline,
+                        "batch.run", r.vectors_done);
+      }
+      return std::move(r.batch);
+    }
+    // Interpreted fallback: single-threaded replay on a fresh engine, so
+    // the reset-state semantics and this instance's state both hold.
     BatchResult r;
     r.outputs = nl_.primary_outputs();
-    r.vectors = count;
-    if (const Program* program = batch_program(engine_)) {
-      run_compiled(*program, vectors, count, opts.num_threads, metrics, cancel, r);
-    } else {
-      // Interpreted fallback: single-threaded replay on a fresh engine, so
-      // the reset-state semantics and this instance's state both hold.
-      Engine fresh(nl_);
-      fresh.set_metrics(metrics);
-      if constexpr (requires { fresh.set_cancel(cancel); }) {
-        fresh.set_cancel(cancel);
-      }
-      const std::size_t pis = nl_.primary_inputs().size();
-      r.values.reserve(count * r.outputs.size());
-      for (std::size_t v = 0; v < count; ++v) {
-        fresh.step(vectors.subspan(v * pis, pis));
-        for (NetId po : r.outputs) r.values.push_back(value_of(fresh, po));
-      }
+    r.vectors = batch_vector_count(nl_, vectors);
+    Engine fresh(nl_);
+    fresh.set_metrics(metrics);
+    if constexpr (requires { fresh.set_cancel(cancel); }) {
+      fresh.set_cancel(cancel);
+    }
+    const std::size_t pis = nl_.primary_inputs().size();
+    r.values.reserve(r.vectors * r.outputs.size());
+    for (std::size_t v = 0; v < r.vectors; ++v) {
+      fresh.step(vectors.subspan(v * pis, pis));
+      for (NetId po : r.outputs) r.values.push_back(value_of(fresh, po));
     }
     return r;
   }
 
  private:
-  void run_compiled(const Program& program, std::span<const Bit> vectors,
-                    std::size_t count, unsigned num_threads,
-                    MetricsRegistry* metrics, const CancelToken* cancel,
-                    BatchResult& r) const {
-    const std::size_t pis = nl_.primary_inputs().size();
-    if (program.input_words != pis) {
-      throw std::logic_error(
-          "run_batch: program input words do not match the primary inputs");
-    }
-    BatchRunner batch(program, batch_probes(engine_, nl_),
-                      BatchOptions{.num_threads = num_threads,
-                                   .metrics = metrics,
-                                   .extra_pass_cost = pass_extras(),
-                                   .cancel = cancel});
-    r.values = batch.run(vectors, count);
-    r.threads = batch.num_threads();
-  }
-
   static Bit value_of(const EventSim2& e, NetId n) { return e.value(n); }
   static Bit value_of(const EventSim3& e, NetId n) {
     return e.value(n) == Tri::One ? 1 : 0;
@@ -201,6 +204,7 @@ class EngineAdapter final : public Simulator {
 
   EngineKind kind_;
   const Netlist& nl_;
+  std::unique_ptr<NativeModule> native_;  ///< outlives engine_'s kernel
   Engine engine_;
   MetricsRegistry* metrics_ = nullptr;
   const CancelToken* cancel_ = nullptr;
@@ -219,6 +223,7 @@ ParallelOptions parallel_options(EngineKind kind) {
       o.shift_elim = ShiftElim::CycleBreaking;
       break;
     case EngineKind::ParallelCombined:
+    case EngineKind::Native:  // the paper's best combination, as machine code
       o.trimming = true;
       o.shift_elim = ShiftElim::PathTracing;
       break;
@@ -262,6 +267,24 @@ std::unique_ptr<Simulator> make_ir_adapter(const Netlist& nl, EngineKind kind,
   }
 }
 
+/// EngineKind::Native: the ParallelCombined engine at `Word`, its passes
+/// run by the module compiled from its program (DESIGN.md §5h). Throws
+/// NativeError when any pipeline stage fails.
+template <class Word>
+std::unique_ptr<Simulator> make_native(const Netlist& nl, const CompileGuard* guard,
+                                       const NativeOptions& opts) {
+  using Adapter = EngineAdapter<ParallelSim<Word>>;
+  const ParallelOptions po = parallel_options(EngineKind::Native);
+  auto sim = guard ? std::make_unique<Adapter>(EngineKind::Native, nl, po, *guard)
+                   : std::make_unique<Adapter>(EngineKind::Native, nl, po);
+  std::unique_ptr<NativeModule> module = std::make_unique<NativeModule>(
+      *sim->compiled_program(), "parallel-combined", opts,
+      guard ? guard->metrics : nullptr);
+  const PassKernel<Word> kernel = module->kernel<Word>();
+  sim->attach_native(std::move(module), kernel);
+  return sim;
+}
+
 std::unique_ptr<Simulator> make_simulator_impl(const Netlist& nl, EngineKind kind,
                                                const CompileGuard* guard,
                                                const NativeOptions* native = nullptr,
@@ -282,10 +305,8 @@ std::unique_ptr<Simulator> make_simulator_impl(const Netlist& nl, EngineKind kin
               "make_simulator: the native backend supports 32/64-bit words "
               "only (requested " + std::to_string(word_bits) + ")");
         }
-        if (guard) {
-          return std::make_unique<NativeSimulator>(nl, nopts, *guard);
-        }
-        return std::make_unique<NativeSimulator>(nl, nopts);
+        if (word_bits == 64) return make_native<std::uint64_t>(nl, guard, nopts);
+        return make_native<std::uint32_t>(nl, guard, nopts);
       default:
         switch (word_bits) {
           case 64:

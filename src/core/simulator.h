@@ -75,7 +75,9 @@ class Simulator {
   /// per primary input per row (its size must be a multiple of the PI
   /// count). Always computed from the engine's initial (reset) state,
   /// independent of prior step() calls, and never disturbs this instance's
-  /// incremental state. Compiled engines shard the stream across
+  /// incremental state. Compiled engines (Native included) run the one
+  /// batch path, run_batch_resilient without the pre-flight validation, and
+  /// raise Cancelled("batch.run") on a stop: the stream is sharded across
   /// `opts.num_threads` workers (0 = all hardware threads) with
   /// bit-identical results for every thread count — LCC and PC-set settle
   /// word_bits vectors per executor pass, one per bit lane; the interpreted
@@ -126,6 +128,11 @@ class Simulator {
   /// every other engine. Every batch entry point hands them to BatchRunner,
   /// so the exec.* counters do not depend on which entry point ran.
   [[nodiscard]] virtual PassExtras pass_extras() const = 0;
+
+  /// The dlopen'd module whose pass kernel runs the compiled program's
+  /// passes (EngineKind::Native: DESIGN.md §5h), or nullptr when
+  /// execute<Word> runs them. step() and every batch shard use it.
+  [[nodiscard]] virtual const NativeModule* native_module() const noexcept = 0;
 
   /// Exact structural cost profile of the compiled program (per-level cost
   /// breakdown, top-K hottest nets, shift-site ledger — obs/profiler.h).

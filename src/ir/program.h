@@ -140,6 +140,13 @@ struct ArenaProbe {
   std::uint8_t bit = 0;
 };
 
+/// One pass of a program as machine code: the emitted `udsim_kernel` entry
+/// point (ir/c_emitter.h batch layout, native/native_backend.h), run
+/// against a caller-owned arena with one word per program input. An
+/// alternative executor to execute<Word>, which stays the reference.
+template <class Word>
+using PassKernel = void (*)(Word* arena, const Word* in);
+
 /// True when one pass of `p` can settle word_bits independent input vectors
 /// at once, one per bit lane, with `probes` reading each lane's result
 /// (DESIGN.md §5c). All four must hold:

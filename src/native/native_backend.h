@@ -93,8 +93,6 @@ struct NativeOptions {
   std::size_t max_cache_entries = 64;
   /// Keep the generated .c next to the .so (mismatch forensics).
   bool keep_source = false;
-  /// Vectors per cancellation chunk of NativeSimulator::run_batch.
-  std::size_t batch_chunk = 1024;
 };
 
 /// Option/environment resolution (exposed for tests and diagnostics).
@@ -146,16 +144,18 @@ class NativeModule {
     reinterpret_cast<void (*)(Word*)>(fn_init_)(arena);
   }
 
-  /// One vector pass (`udsim_kernel`): `in` is one word per program input.
+  /// The one-pass entry point (`udsim_kernel`) as a KernelRunner pass
+  /// kernel: `in` is one word per program input.
   template <class Word>
-  void step(Word* arena, const Word* in) const {
+  [[nodiscard]] PassKernel<Word> kernel() const {
     check_word_bits(sizeof(Word) * 8);
-    reinterpret_cast<void (*)(Word*, const Word*)>(fn_step_)(arena, in);
+    return reinterpret_cast<PassKernel<Word>>(fn_step_);
   }
 
   /// Whole-stream entry (`udsim_kernel_run`): runs `n_vectors` row-major
-  /// vectors of `input_words` words each — the ISSUE's
-  /// `(arena, inputs, n_vectors)` signature; one call, no per-vector FFI.
+  /// vectors of `input_words` words each against one arena — final state
+  /// only, one call, no per-vector FFI. The engine itself never uses it: a
+  /// batch samples outputs after every pass, through kernel().
   template <class Word>
   void run(Word* arena, const Word* in, std::uint64_t n_vectors) const {
     check_word_bits(sizeof(Word) * 8);

@@ -157,6 +157,9 @@ class ParallelSim {
   }
   /// Cooperative stop between vectors (see KernelRunner::set_cancel).
   void set_cancel(const CancelToken* token) noexcept { runner_.set_cancel(token); }
+  /// Step through machine code compiled from compiled().program (see
+  /// KernelRunner::set_kernel).
+  void set_kernel(PassKernel<Word> kernel) noexcept { runner_.set_kernel(kernel); }
 
  private:
   static ParallelCompiled make(const Netlist& nl, ParallelOptions options,

@@ -121,6 +121,8 @@ ResilientResult run_batch_resilient(const Simulator& sim,
         "run_batch_resilient: program input words do not match the primary "
         "inputs");
   }
+  // The one place a Simulator batch builds its BatchRunner: the native
+  // engine's module rides along, so its shards run the dlopen'd kernel.
   BatchRunner runner(*program, std::move(probes),
                      BatchOptions{.num_threads = opts.num_threads,
                                   .metrics = opts.metrics,
@@ -128,7 +130,8 @@ ResilientResult run_batch_resilient(const Simulator& sim,
                                   .cancel = opts.cancel,
                                   .inject = opts.inject,
                                   .retry_limit = opts.retry_limit,
-                                  .diag = opts.diag});
+                                  .diag = opts.diag,
+                                  .native = sim.native_module()});
   ResilientBatch b = runner.run_resilient(vectors, count, opts.resume);
   r.status = b.status;
   r.batch.values = std::move(b.values);

@@ -3,8 +3,10 @@
 // run_batch_resilient() is the one entry point that composes the whole
 // resilience stack (DESIGN.md §5f): pre-flight ProgramValidator, cooperative
 // cancellation, checkpoint/resume, deterministic fault injection and shard
-// retry-with-quarantine. For a compiled engine it validates the engine's
-// program, then drives BatchRunner::run_resilient; for the interpreted event
+// retry-with-quarantine. For a compiled engine (Native included: its shards
+// run the dlopen'd pass kernel) it validates the engine's program, then
+// drives BatchRunner::run_resilient — the path Simulator::run_batch takes
+// too, minus the validation; for the interpreted event
 // engines (no compiled program, state not captured in a word arena) it still
 // honors cancellation but cannot produce a checkpoint — `resumable` is false
 // and an early stop discards the partial rows.

@@ -17,7 +17,6 @@
 #include "gen/random_dag.h"
 #include "gen/rng.h"
 #include "harness/vectors.h"
-#include "native/native_sim.h"
 #include "netlist/bench_io.h"
 #include "obs/metrics.h"
 #include "oracle/oracle.h"
@@ -149,18 +148,21 @@ TEST(DifferentialFuzz, NativeBackendAgreesWithOracleOnRandomCircuits) {
     const RandomDagParams params = fuzz_params(seed);
     const Netlist nl = random_dag(params);
     OracleSim oracle(nl);
-    NativeSimulator native(nl, opts);
+    SimPolicy policy;
+    policy.chain = {EngineKind::Native};
+    policy.native = opts;
+    const auto native = make_simulator_with_fallback(nl, policy);
     RandomVectorSource src(nl.primary_inputs().size(), seed + 0x5151);
     std::vector<Bit> row(nl.primary_inputs().size());
     for (int v = 0; v < 6; ++v) {
       src.next(row);
       const Waveform wf = oracle.step(row);
-      native.step(row);
+      native->step(row);
       for (NetId po : nl.primary_outputs()) {
-        ASSERT_EQ(wf.final_value(po), native.final_value(po))
+        ASSERT_EQ(wf.final_value(po), native->final_value(po))
             << "native backend disagrees with oracle on net '"
             << nl.net(po).name << "' at vector " << v << "\n"
-            << "emitted C: " << native.module().source_path() << "\n"
+            << "emitted C: " << native->native_module()->source_path() << "\n"
             << describe(seed, params, nl);
       }
     }

@@ -7,9 +7,11 @@
 // in bit 0), so every op's full-width behavior is exercised.
 //
 // Also covered here: the object cache (hit/miss counters, shared-object
-// reuse), the whole-stream `udsim_kernel_run` entry vs the per-vector step
-// loop, the Simulator facade (exec.ops == compile.ops × passes, batch
-// equivalence), and cooperative cancellation at native sites.
+// reuse), the whole-stream `udsim_kernel_run` entry vs the per-vector
+// kernel, and EngineKind::Native behind the Simulator facade — the
+// ParallelCombined engine whose passes run the module's kernel: step and
+// batch equivalence, both word sizes, the thread matrix with
+// exec.ops == compile.ops × passes, checkpoint/resume, and cancellation.
 //
 // Every test skips (not fails) when the machine has no usable C compiler.
 #include <gtest/gtest.h>
@@ -21,14 +23,16 @@
 #include <string>
 #include <vector>
 
+#include "core/batch_runner.h"
 #include "core/simulator.h"
 #include "gen/iscas_profiles.h"
 #include "ir/executor.h"
 #include "lcc/lcc.h"
-#include "native/native_sim.h"
+#include "oracle/oracle.h"
 #include "parsim/parallel_sim.h"
 #include "pcsim/pcset_sim.h"
 #include "resilience/cancel.h"
+#include "resilience/resilient_run.h"
 
 namespace udsim {
 namespace {
@@ -88,7 +92,7 @@ void expect_native_matches_ir(const Program& p, const std::string& label) {
       w = static_cast<Word>(x);
     }
     execute<Word>(p, in, ir);
-    mod.step(nat.data(), in.data());
+    mod.kernel<Word>()(nat.data(), in.data());
     ASSERT_EQ(ir, nat) << label << ": arenas differ after vector " << v
                        << " (source: " << mod.source_path() << ")";
   }
@@ -211,64 +215,97 @@ TEST(NativeRunEntryTest, RunMatchesStepLoop) {
   mod.init(stepped.data());
   mod.init(streamed.data());
   for (std::uint64_t v = 0; v < kVectors; ++v) {
-    mod.step(stepped.data(), stream.data() + v * p.input_words);
+    mod.kernel<std::uint32_t>()(stepped.data(), stream.data() + v * p.input_words);
   }
   mod.run(streamed.data(), stream.data(), kVectors);
   EXPECT_EQ(stepped, streamed)
       << "udsim_kernel_run must equal " << kVectors << " udsim_kernel calls";
 }
 
+TEST(NativeRunEntryTest, BatchRunnerRejectsAModuleOfAnotherWidth) {
+  SKIP_WITHOUT_NATIVE();
+  const Netlist nl = make_iscas85_like("c432", 1);
+  const Program p32 = compile_parallel(nl, {}).program;
+  ParallelOptions o64;
+  o64.word_bits = 64;
+  const Program p64 = compile_parallel(nl, o64).program;
+  const NativeModule mod32(p32, "width-guard", test_native_options());
+  EXPECT_THROW(BatchRunner(p64, {}, BatchOptions{.native = &mod32}),
+               std::invalid_argument);
+}
+
 // ---------------------------------------------------------------------------
 // Simulator facade.
 
-TEST(NativeSimulatorTest, StepMatchesParallelCombinedFacade) {
-  SKIP_WITHOUT_NATIVE();
-  const Netlist nl = make_iscas85_like("c880", 1);
-  NativeSimulator native(nl, test_native_options());
-  auto ir = make_simulator(nl, EngineKind::ParallelCombined);
-  ASSERT_EQ(native.kind(), EngineKind::Native);
-
-  const std::size_t pis = nl.primary_inputs().size();
-  std::vector<Bit> row(pis);
-  std::uint64_t x = 0x2545f4914f6cdd1dull;
-  for (int v = 0; v < 8; ++v) {
-    for (Bit& b : row) {
-      x ^= x << 13;
-      x ^= x >> 7;
-      x ^= x << 17;
-      b = static_cast<Bit>(x & 1);
-    }
-    native.step(row);
-    ir->step(row);
-    for (NetId po : nl.primary_outputs()) {
-      ASSERT_EQ(native.final_value(po), ir->final_value(po))
-          << "PO " << po.value << " diverged at vector " << v;
-    }
-  }
+/// EngineKind::Native through the facade: a chain of only the native
+/// engine, so a toolchain failure fails the test instead of falling back.
+std::unique_ptr<Simulator> make_native_sim(const Netlist& nl, int word_bits = 0,
+                                           MetricsRegistry* reg = nullptr) {
+  SimPolicy policy;
+  policy.chain = {EngineKind::Native};
+  policy.native = test_native_options();
+  policy.word_bits = word_bits;
+  policy.metrics = reg;
+  auto sim = make_simulator_with_fallback(nl, policy);
+  EXPECT_EQ(sim->kind(), EngineKind::Native);
+  EXPECT_NE(sim->native_module(), nullptr);
+  return sim;
 }
 
-TEST(NativeSimulatorTest, RunBatchMatchesStepLoopAndCountsChunks) {
-  SKIP_WITHOUT_NATIVE();
-  const Netlist nl = make_iscas85_like("c499", 1);
-  NativeOptions opts = test_native_options();
-  opts.batch_chunk = 4;
-  NativeSimulator sim(nl, opts);
-  MetricsRegistry reg;
-  sim.set_metrics(&reg);
-
-  const std::size_t pis = nl.primary_inputs().size();
-  constexpr std::size_t kVectors = 10;
-  std::vector<Bit> stream(kVectors * pis);
-  std::uint64_t x = 7;
-  for (Bit& b : stream) {
+std::vector<Bit> xorshift_bits(std::size_t n, std::uint64_t x) {
+  std::vector<Bit> bits(n);
+  for (Bit& b : bits) {
     x ^= x << 13;
     x ^= x >> 7;
     x ^= x << 17;
     b = static_cast<Bit>(x & 1);
   }
-  const BatchResult batch = sim.run_batch(stream, /*num_threads=*/3);
+  return bits;
+}
+
+/// OracleSim's settled primary outputs for `stream`, row-major.
+std::vector<Bit> oracle_rows(const Netlist& nl, std::span<const Bit> stream) {
+  const std::size_t pis = nl.primary_inputs().size();
+  OracleSim oracle(nl);
+  std::vector<Bit> rows;
+  for (std::size_t v = 0; v * pis < stream.size(); ++v) {
+    const Waveform wf = oracle.step(stream.subspan(v * pis, pis));
+    for (NetId po : nl.primary_outputs()) rows.push_back(wf.final_value(po));
+  }
+  return rows;
+}
+
+TEST(NativeSimulatorTest, StepMatchesParallelCombinedFacade) {
+  SKIP_WITHOUT_NATIVE();
+  const Netlist nl = make_iscas85_like("c880", 1);
+  auto native = make_native_sim(nl);
+  auto ir = make_simulator(nl, EngineKind::ParallelCombined);
+
+  const std::size_t pis = nl.primary_inputs().size();
+  const std::vector<Bit> stream = xorshift_bits(8 * pis, 0x2545f4914f6cdd1dull);
+  for (std::size_t v = 0; v < 8; ++v) {
+    const auto row = std::span<const Bit>(stream).subspan(v * pis, pis);
+    native->step(row);
+    ir->step(row);
+    for (NetId po : nl.primary_outputs()) {
+      ASSERT_EQ(native->final_value(po), ir->final_value(po))
+          << "PO " << po.value << " diverged at vector " << v;
+    }
+  }
+}
+
+TEST(NativeSimulatorTest, RunBatchShardsAndMatchesStepLoop) {
+  SKIP_WITHOUT_NATIVE();
+  const Netlist nl = make_iscas85_like("c499", 1);
+  auto sim = make_native_sim(nl);
+
+  const std::size_t pis = nl.primary_inputs().size();
+  constexpr std::size_t kVectors = 40;
+  const std::vector<Bit> stream = xorshift_bits(kVectors * pis, 7);
+  const BatchResult batch =
+      sim->run_batch(stream, BatchRunOptions{.num_threads = 3});
   EXPECT_EQ(batch.vectors, kVectors);
-  EXPECT_EQ(batch.threads, 1u) << "native batch is in-process sequential";
+  EXPECT_EQ(batch.threads, 3u) << "native batches shard like IR batches";
 
   auto oracle = make_simulator(nl, EngineKind::ParallelCombined);
   for (std::size_t v = 0; v < kVectors; ++v) {
@@ -278,8 +315,6 @@ TEST(NativeSimulatorTest, RunBatchMatchesStepLoopAndCountsChunks) {
           << "vector " << v << " output " << o;
     }
   }
-  // 10 vectors / chunk 4 → boundaries at v = 0, 4, 8.
-  EXPECT_EQ(reg.snapshot().at("native.batch.chunks"), 3u);
 }
 
 TEST(NativeSimulatorTest, ExecOpsEqualsCompileOpsTimesPasses) {
@@ -303,83 +338,144 @@ TEST(NativeSimulatorTest, ExecOpsEqualsCompileOpsTimesPasses) {
 
 TEST(NativeSimulatorTest, StreamEntryMatchesStepOnTheFacade) {
   SKIP_WITHOUT_NATIVE();
+  // The whole-stream entry is a module call, not an engine path: run it on
+  // the facade's module against a fresh arena and compare with stepping.
   const Netlist nl = make_iscas85_like("c1355", 1);
-  NativeSimulator stepped(nl, test_native_options());
-  NativeSimulator streamed(nl, test_native_options());
+  auto stepped = make_native_sim(nl);
+  const NativeModule& mod = *stepped->native_module();
+  const Program& p = *stepped->compiled_program();
 
   const std::size_t pis = nl.primary_inputs().size();
-  const Program& p = streamed.compiled().program;
   ASSERT_EQ(p.input_words, pis);
   constexpr std::uint64_t kVectors = 6;
-  std::vector<Bit> row(pis);
-  std::vector<std::uint32_t> words(kVectors * pis);
-  std::uint64_t x = 3;
+  const std::vector<Bit> stream = xorshift_bits(kVectors * pis, 3);
   for (std::uint64_t v = 0; v < kVectors; ++v) {
-    for (std::size_t i = 0; i < pis; ++i) {
-      x ^= x << 13;
-      x ^= x >> 7;
-      x ^= x << 17;
-      row[i] = static_cast<Bit>(x & 1);
-      words[v * pis + i] = row[i];
-    }
-    stepped.step(row);
+    stepped->step(std::span<const Bit>(stream).subspan(v * pis, pis));
   }
-  streamed.run_stream(words, kVectors);
-  for (NetId po : nl.primary_outputs()) {
-    EXPECT_EQ(stepped.final_value(po), streamed.final_value(po))
-        << "PO " << po.value;
+  const std::vector<std::uint32_t> words(stream.begin(), stream.end());
+  std::vector<std::uint32_t> arena(p.arena_words);
+  mod.init(arena.data());
+  mod.run(arena.data(), words.data(), kVectors);
+  const std::vector<ArenaProbe> probes = stepped->output_probes();
+  for (std::size_t o = 0; o < probes.size(); ++o) {
+    EXPECT_EQ(stepped->final_value(nl.primary_outputs()[o]),
+              (arena[probes[o].word] >> probes[o].bit) & 1u)
+        << "PO " << nl.primary_outputs()[o].value;
   }
 }
 
+TEST(NativeSimulatorTest, DispatchedWidthIsTheProgramAndModuleWidth) {
+  SKIP_WITHOUT_NATIVE();
+  const Netlist nl = make_iscas85_like("c880", 1);
+  const std::size_t pis = nl.primary_inputs().size();
+  const std::vector<Bit> stream = xorshift_bits(48 * pis, 0x5eed);
+  const std::vector<Bit> expect = oracle_rows(nl, stream);
+  for (const int bits : {32, 64}) {
+    MetricsRegistry reg;
+    auto sim = make_native_sim(nl, bits, &reg);
+    ASSERT_EQ(sim->compiled_program()->word_bits, bits);
+    EXPECT_EQ(sim->native_module()->word_bits(), bits);
+    EXPECT_EQ(reg.snapshot().at("dispatch.width"),
+              static_cast<std::uint64_t>(bits));
+    EXPECT_EQ(sim->run_batch(stream, 2).values, expect) << bits << "-bit";
+    std::vector<Bit> stepped;
+    for (std::size_t v = 0; v < 48; ++v) {
+      sim->step(std::span<const Bit>(stream).subspan(v * pis, pis));
+      for (NetId po : nl.primary_outputs()) stepped.push_back(sim->final_value(po));
+    }
+    EXPECT_EQ(stepped, expect) << bits << "-bit step";
+  }
+  // The plain factory honors an explicit width too; wider ones are refused.
+  auto direct = make_simulator(nl, EngineKind::Native, 64);
+  EXPECT_EQ(direct->compiled_program()->word_bits, 64);
+  EXPECT_EQ(direct->native_module()->word_bits(), 64);
+  EXPECT_EQ(direct->run_batch(stream, 1).values, expect);
+}
+
+TEST(NativeSimulatorTest, ThreadMatrixMatchesOracleAndCountsExactly) {
+  SKIP_WITHOUT_NATIVE();
+  const Netlist nl = make_iscas85_like("c1908", 1);
+  const std::size_t pis = nl.primary_inputs().size();
+  constexpr std::size_t kVectors = 97;
+  const std::vector<Bit> stream = xorshift_bits(kVectors * pis, 0xfeed);
+  const std::vector<Bit> expect = oracle_rows(nl, stream);
+  for (const unsigned threads : {1u, 2u, 5u}) {
+    MetricsRegistry reg;
+    auto sim = make_native_sim(nl, 0, &reg);
+    const BatchResult r = sim->run_batch(stream, threads);
+    EXPECT_EQ(r.threads, threads);
+    EXPECT_EQ(r.values, expect) << threads << " threads";
+    const auto snap = reg.snapshot();
+    EXPECT_EQ(snap.at("exec.passes"), kVectors) << threads << " threads";
+    EXPECT_EQ(snap.at("exec.ops"), snap.at("compile.ops") * kVectors)
+        << threads << " threads";
+  }
+}
+
+TEST(NativeSimulatorTest, CheckpointResumesBitIdentically) {
+  SKIP_WITHOUT_NATIVE();
+  const Netlist nl = make_iscas85_like("c880", 1);
+  const std::size_t pis = nl.primary_inputs().size();
+  constexpr std::size_t kVectors = 60;
+  const std::vector<Bit> stream = xorshift_bits(kVectors * pis, 0xc0ffee);
+  auto sim = make_native_sim(nl);
+  const std::vector<Bit> expect = oracle_rows(nl, stream);
+
+  // A deterministic stop mid-way through shard 1 ([30, 60)): shard 0 is
+  // done, shard 1 checkpoints the native-settled arena after vector 39.
+  FaultInjector inject(11);
+  inject.add_site({FaultSite::DeadlineOverrun, 1, 40, 0});
+  const ResilientResult stopped = run_batch_resilient(
+      *sim, stream, ResilientOptions{.num_threads = 2, .inject = &inject});
+  ASSERT_EQ(stopped.status, RunStatus::DeadlineExpired);
+  ASSERT_TRUE(stopped.resumable);
+  ASSERT_EQ(stopped.vectors_done, 40u);
+
+  const ResilientResult resumed = run_batch_resilient(
+      *sim, stream,
+      ResilientOptions{.num_threads = 2, .resume = &stopped.checkpoint});
+  EXPECT_EQ(resumed.status, RunStatus::Complete);
+  EXPECT_EQ(resumed.batch.values, expect);
+}
+
 // ---------------------------------------------------------------------------
-// Cancellation at native sites (resilience contract).
+// Cancellation (resilience contract): the native engine stops at the same
+// sites as every compiled engine.
 
 TEST(NativeCancelTest, StepThrowsAtNativeStepSite) {
   SKIP_WITHOUT_NATIVE();
   const Netlist nl = make_iscas85_like("c432", 1);
-  NativeSimulator sim(nl, test_native_options());
+  auto sim = make_native_sim(nl);
   CancelToken token;
-  sim.set_cancel(&token);
+  sim->set_cancel(&token);
   std::vector<Bit> row(nl.primary_inputs().size(), 0);
-  sim.step(row);  // not cancelled yet
+  sim->step(row);  // not cancelled yet
   token.request_cancel();
   try {
-    sim.step(row);
+    sim->step(row);
     FAIL() << "expected Cancelled";
   } catch (const Cancelled& c) {
     EXPECT_EQ(c.reason(), StopReason::Cancelled);
-    EXPECT_EQ(c.site(), "native.step");
+    EXPECT_EQ(c.site(), "kernel.run");
     EXPECT_EQ(c.vector_index(), 2u) << "the second pass was the one stopped";
   }
 }
 
-TEST(NativeCancelTest, RunBatchThrowsAtChunkBoundary) {
+TEST(NativeCancelTest, RunBatchThrowsAtBatchRunSite) {
   SKIP_WITHOUT_NATIVE();
   const Netlist nl = make_iscas85_like("c432", 1);
-  NativeSimulator sim(nl, test_native_options());
+  auto sim = make_native_sim(nl);
   CancelToken token;
   token.request_cancel();
-  sim.set_cancel(&token);
+  sim->set_cancel(&token);
   const std::vector<Bit> stream(4 * nl.primary_inputs().size(), 0);
   try {
-    (void)sim.run_batch(stream, 1);
+    (void)sim->run_batch(stream, 1);
     FAIL() << "expected Cancelled";
   } catch (const Cancelled& c) {
-    EXPECT_EQ(c.site(), "native.batch");
+    EXPECT_EQ(c.site(), "batch.run");
     EXPECT_EQ(c.vector_index(), 0u) << "pre-cancelled: stop before vector 0";
   }
-}
-
-TEST(NativeCancelTest, RunStreamThrowsAtNativeRunSite) {
-  SKIP_WITHOUT_NATIVE();
-  const Netlist nl = make_iscas85_like("c432", 1);
-  NativeSimulator sim(nl, test_native_options());
-  CancelToken token;
-  token.request_cancel();
-  sim.set_cancel(&token);
-  const std::vector<std::uint32_t> words(2 * sim.compiled().program.input_words,
-                                         0);
-  EXPECT_THROW(sim.run_stream(words, 2), Cancelled);
 }
 
 }  // namespace

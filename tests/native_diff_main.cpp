@@ -16,7 +16,6 @@
 
 #include "core/simulator.h"
 #include "gen/iscas_profiles.h"
-#include "native/native_sim.h"
 
 int main(int argc, char** argv) {
   using namespace udsim;
@@ -42,7 +41,10 @@ int main(int argc, char** argv) {
   }
 
   const Netlist nl = make_iscas85_like(circuit, /*seed=*/1);
-  NativeSimulator native(nl, opts);
+  SimPolicy policy;
+  policy.chain = {EngineKind::Native};
+  policy.native = opts;
+  const auto native = make_simulator_with_fallback(nl, policy);
   auto ir = make_simulator(nl, EngineKind::ParallelCombined);
 
   const std::size_t pis = nl.primary_inputs().size();
@@ -56,14 +58,14 @@ int main(int argc, char** argv) {
       x ^= x << 17;
       b = static_cast<Bit>(x & 1);
     }
-    native.step(row);
+    native->step(row);
     ir->step(row);
     for (NetId po : nl.primary_outputs()) {
       Bit expected = ir->final_value(po);
       if (inject && v == vectors / 2 && po == nl.primary_outputs().front()) {
         expected = static_cast<Bit>(expected ^ 1);  // forced divergence
       }
-      const Bit got = native.final_value(po);
+      const Bit got = native->final_value(po);
       if (got != expected) {
         ++miscompares;
         std::fprintf(stderr,
@@ -74,10 +76,10 @@ int main(int argc, char** argv) {
   }
   if (miscompares != 0) {
     std::fprintf(stderr, "%zu miscompare(s); emitted source: %s\n",
-                 miscompares, native.module().source_path().c_str());
+                 miscompares, native->native_module()->source_path().c_str());
     return 1;
   }
   std::printf("%s: %zu vectors bit-identical (native %s)\n", circuit.c_str(),
-              vectors, native.module().from_cache() ? "cached" : "built");
+              vectors, native->native_module()->from_cache() ? "cached" : "built");
   return 0;
 }

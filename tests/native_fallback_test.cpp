@@ -6,7 +6,9 @@
 // through the engine chain (native_sim_policy falls back to the IR path
 // with a DiagCode::NativeFallback record, a native.fallback counter, and
 // the exec.ops == compile.ops × passes invariant intact on the engine that
-// actually runs).
+// actually runs). Also here, because it needs the fake compiler: the
+// poisoned-kernel regression proving every batch path of the native engine
+// runs the dlopen'd code, not the IR executor.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -20,9 +22,12 @@
 
 #include "core/simulator.h"
 #include "gen/iscas_profiles.h"
-#include "native/native_sim.h"
+#include "core/kernel_runner.h"
+#include "native/native_backend.h"
 #include "netlist/diagnostics.h"
 #include "parsim/parallel_sim.h"
+#include "resilience/resilient_run.h"
+#include "service/sim_service.h"
 
 namespace udsim {
 namespace {
@@ -41,8 +46,9 @@ std::string fresh_dir(const std::string& tag) {
   return dir.string();
 }
 
-/// The base program the facade's native engine compiles (must mirror
-/// native_sim.cpp's native_base_options so cache keys line up).
+/// The base program the facade's native engine compiles at the default
+/// width (must mirror parallel_options(EngineKind::Native) in
+/// core/simulator.cpp so cache keys line up).
 Program facade_base_program(const Netlist& nl) {
   ParallelOptions o;
   o.trimming = true;
@@ -155,6 +161,75 @@ std::string write_fake_cc(const std::string& dir, const std::string& body) {
   return path;
 }
 
+// Regression: the native engine's machine code runs on every batch path.
+// A compiler wrapper empties `udsim_kernel`'s body before handing the
+// source to the real compiler, so a pass through the module leaves the
+// arena at its initial state: every row the module produced is the
+// "poisoned" row read from a fresh arena, while the IR executor produces
+// the circuit's real outputs. run_batch, run_batch_resilient and a
+// SimService request with enable_native must all return poisoned rows.
+TEST(NativeFallbackTest, PoisonedKernelRunsOnEveryBatchPath) {
+  NativeOptions probe;
+  if (!native_available(probe)) GTEST_SKIP() << "no usable C compiler";
+  const auto nl = std::make_shared<Netlist>(make_iscas85_like("c432", 1));
+  NativeOptions opts;
+  opts.compile_flags = "-O0";
+  opts.cache_dir = fresh_dir("poison");
+  opts.compiler = write_fake_cc(
+      opts.cache_dir,
+      "for a in \"$@\"; do\n"
+      "  case \"$a\" in *.c)\n"
+      "    sed -i -e '/^void udsim_kernel(/,/^}$/{' -e '/^void udsim_kernel(/b'"
+      " -e '/^}$/b' -e d -e '}' \"$a\" ;;\n"
+      "  esac\n"
+      "done\n"
+      "exec " + resolved_compiler(probe) + " \"$@\"\n");
+
+  SimPolicy policy;
+  policy.chain = {EngineKind::Native};
+  policy.native = opts;
+  auto sim = make_simulator_with_fallback(*nl, policy);
+  ASSERT_EQ(sim->kind(), EngineKind::Native);
+
+  const std::size_t pis = nl->primary_inputs().size();
+  constexpr std::size_t kVectors = 24;
+  std::vector<Bit> stream(kVectors * pis);
+  std::uint64_t x = 0x9e3779b97f4a7c15ull;
+  for (Bit& b : stream) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    b = static_cast<Bit>(x & 1);
+  }
+  const KernelRunner<std::uint32_t> fresh(*sim->compiled_program());
+  std::vector<Bit> poisoned;
+  for (std::size_t v = 0; v < kVectors; ++v) {
+    for (const ArenaProbe& pr : sim->output_probes()) {
+      poisoned.push_back(fresh.bit(pr.word, pr.bit));
+    }
+  }
+  const auto ir = make_simulator(*nl, EngineKind::ParallelCombined);
+  ASSERT_NE(ir->run_batch(stream, 1).values, poisoned)
+      << "the stream must tell the poisoned kernel from the real one";
+
+  EXPECT_EQ(sim->run_batch(stream, 1).values, poisoned) << "run_batch";
+  EXPECT_EQ(sim->run_batch(stream, 2).values, poisoned) << "sharded run_batch";
+  const ResilientResult resilient = run_batch_resilient(*sim, stream);
+  ASSERT_EQ(resilient.status, RunStatus::Complete);
+  EXPECT_EQ(resilient.batch.values, poisoned) << "run_batch_resilient";
+
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.enable_native = true;
+  cfg.native = opts;
+  SimService svc(cfg);
+  const SessionId sid = svc.open_session("poisoned-kernel");
+  const SimResponse r = svc.run(sid, SimRequest{.netlist = nl, .vectors = stream});
+  ASSERT_EQ(r.outcome, Outcome::Completed) << r.detail;
+  EXPECT_EQ(r.engine, EngineKind::Native);
+  EXPECT_EQ(r.batch.values, poisoned) << "SimService request";
+}
+
 // A corrupted *cached* object is corruption, not failure: the backend must
 // evict it, recompile as a miss, and bump native.cache.corrupt — the bad
 // entry never surfaces to the caller (ISSUE 7 satellite: cache corruption
@@ -193,7 +268,7 @@ TEST(NativeFallbackTest, BitFlippedCachedObjectIsEvictedAndRebuilt) {
   std::vector<std::uint32_t> arena(p.arena_words, 0xdeadbeefu);
   mod.init(arena.data());
   const std::vector<std::uint32_t> in(p.input_words, 0);
-  mod.step(arena.data(), in.data());
+  mod.kernel<std::uint32_t>()(arena.data(), in.data());
 
   // A second construction is a clean hit of the recovered entry.
   MetricsRegistry reg2;
