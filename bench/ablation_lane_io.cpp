@@ -1,0 +1,133 @@
+// Ablation F: lane I/O. A lane-packed LCC or PC-set pass (DESIGN.md §5c)
+// settles word_bits vectors, but BatchRunner must first transpose the lane
+// group's input rows into one word per input and afterwards read every
+// probe's lanes back out as rows. This harness splits a pass into the two
+// parts: "batch" is one-thread BatchRunner::run over the whole workload,
+// "program" is KernelRunner::run alone over input words packed outside the
+// timed region. Both are reported in microseconds per pass (min / median /
+// max over --trials), and their difference is the lane I/O.
+//
+//   ablation_lane_io [--vectors N] [--trials T] [--seed S] [--circuits a,b]
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <iostream>
+#include <string>
+#include <vector>
+
+#include "bench_util.h"
+#include "core/batch_runner.h"
+#include "core/simulator.h"
+#include "core/width_dispatch.h"
+#include "harness/table.h"
+#include "ir/wide_word.h"
+
+namespace {
+
+using namespace udsim;
+
+struct Spread {
+  double min = 0, median = 0, max = 0;
+};
+
+/// Microseconds per pass of `body` (which runs `passes` passes), per trial.
+template <class Body>
+Spread us_per_pass(Body&& body, std::size_t passes, int trials) {
+  std::vector<double> us;
+  for (int t = 0; t < trials; ++t) {
+    const auto t0 = std::chrono::steady_clock::now();
+    body();
+    const auto t1 = std::chrono::steady_clock::now();
+    us.push_back(std::chrono::duration<double, std::micro>(t1 - t0).count() /
+                 static_cast<double>(passes));
+  }
+  std::sort(us.begin(), us.end());
+  return {us.front(), us[us.size() / 2], us.back()};
+}
+
+std::string fmt(const Spread& s) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.2f / %.2f / %.2f", s.min, s.median, s.max);
+  return buf;
+}
+
+template <class Word>
+Spread time_program(const Program& program, const bench::Workload& w,
+                    int trials) {
+  constexpr std::size_t kBits = sizeof(Word) * 8;
+  constexpr std::size_t kU64 = kWordU64Lanes<Word>;
+  const std::size_t passes = (w.vectors + kBits - 1) / kBits;
+  std::vector<Word> in(w.inputs * passes);
+  std::vector<std::uint64_t> lanes(kU64);
+  for (std::size_t p = 0; p < passes; ++p) {
+    for (std::size_t i = 0; i < w.inputs; ++i) {
+      std::fill(lanes.begin(), lanes.end(), 0);
+      for (std::size_t l = 0; l < kBits && p * kBits + l < w.vectors; ++l) {
+        lanes[l / 64] |= std::uint64_t{w.bits[(p * kBits + l) * w.inputs + i] & 1u}
+                         << (l % 64);
+      }
+      in[p * w.inputs + i] = word_from_u64_lanes<Word>(lanes.data());
+    }
+  }
+  KernelRunner<Word> runner(program);
+  return us_per_pass(
+      [&] {
+        for (std::size_t p = 0; p < passes; ++p) {
+          runner.run(std::span<const Word>(in.data() + p * w.inputs, w.inputs));
+        }
+      },
+      passes, trials);
+}
+
+Spread time_program_any(const Program& program, const bench::Workload& w,
+                        int trials) {
+  switch (program.word_bits) {
+    case 64:
+      return time_program<std::uint64_t>(program, w, trials);
+#if UDSIM_HAS_W128
+    case 128:
+      return time_program<u128>(program, w, trials);
+#endif
+    case 256:
+      return time_program<u256>(program, w, trials);
+    default:
+      return time_program<std::uint32_t>(program, w, trials);
+  }
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  using namespace udsim;
+  using namespace udsim::bench;
+  const BenchArgs args = BenchArgs::parse(argc, argv);
+  print_header("Ablation F", "lane I/O: run_batch pass vs program-only pass",
+               args, "us per pass, min / median / max over trials, 1 thread");
+
+  Table table({"circuit", "engine", "width", "batch us/pass", "program us/pass",
+               "I/O share", "batch vec/s"});
+  for (const std::string& name : args.circuit_names()) {
+    const Netlist nl = make_iscas85_like(name, args.seed);
+    const Workload w(nl.primary_inputs().size(), args.vectors, args.seed + 100);
+    for (EngineKind kind : {EngineKind::ZeroDelayLcc, EngineKind::PCSet}) {
+      for (int bits : supported_widths()) {
+        const auto sim = make_simulator(nl, kind, bits);
+        const Program& program = *sim->compiled_program();
+        BatchOptions one_thread;
+        one_thread.num_threads = 1;
+        BatchRunner batch(program, sim->output_probes(), one_thread);
+        const std::size_t passes =
+            (w.vectors + batch.lanes_per_pass() - 1) / batch.lanes_per_pass();
+        const Spread run = us_per_pass(
+            [&] { (void)batch.run(w.bits, w.vectors); }, passes, args.trials);
+        const Spread prog = time_program_any(program, w, args.trials);
+        const double io = 1.0 - prog.median / run.median;
+        table.add_row({name, std::string(engine_name(kind)), std::to_string(bits),
+                       fmt(run), fmt(prog), Table::num(100.0 * io, 0) + "%",
+                       Table::num(batch.lanes_per_pass() / run.median * 1e6, 0)});
+      }
+    }
+  }
+  table.print(std::cout);
+  return 0;
+}

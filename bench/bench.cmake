@@ -35,6 +35,7 @@ target_compile_definitions(bench_report PRIVATE
 
 udsim_bench(ablation_wordsize)
 udsim_bench(ablation_dataparallel)
+udsim_bench(ablation_lane_io)
 
 # Smoke-test every harness binary under ctest (tiny workloads).
 add_test(NAME bench_fig19_smoke COMMAND fig19_techniques --vectors 40 --trials 1 --circuits c432,c499)
@@ -49,6 +50,7 @@ add_test(NAME bench_multidelay_smoke COMMAND ext_multidelay --vectors 40 --trial
 add_test(NAME bench_emitted_c_smoke COMMAND ablation_emitted_c --vectors 40 --trials 1 --circuits c432)
 add_test(NAME bench_wordsize_smoke COMMAND ablation_wordsize --vectors 40 --trials 1 --circuits c432)
 add_test(NAME bench_dataparallel_smoke COMMAND ablation_dataparallel --vectors 40 --trials 1 --circuits c432)
+add_test(NAME bench_lane_io_smoke COMMAND ablation_lane_io --vectors 70 --trials 1 --circuits c432)
 add_test(NAME bench_threads_smoke COMMAND ablation_threads --vectors 200 --trials 1 --circuits c432 --threads 1,2 --json ablation_threads_smoke.json)
 add_test(NAME bench_observability_smoke COMMAND ablation_observability --vectors 200 --trials 1 --circuits c432,c880 --json ablation_observability_smoke.json)
 add_test(NAME bench_resilience_smoke COMMAND ablation_resilience --vectors 200 --trials 1 --circuits c432,c880 --json ablation_resilience_smoke.json)

@@ -1,7 +1,9 @@
 #include "core/batch_runner.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstring>
 #include <new>
 #include <stdexcept>
 #include <utility>
@@ -29,6 +31,78 @@ namespace {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+// Lane-packed I/O (DESIGN.md §5c) moves bits in 8 × 8 blocks. Eight stream
+// Bits of one vector row are one 8-byte load; masking it with kBit0s keeps
+// each Bit's bit 0 — the input, exactly as the scalar path's `src[i] & 1u`
+// — and shifting it by the row's lane within the block ORs 8 rows into one
+// accumulator whose byte j is input j's lane byte. Stores run the same
+// block in reverse. Words are addressed as bytes, lane l in bit l % 8 of
+// byte l / 8: true of uint32/uint64, __int128 and u256's little-endian
+// uint64 lanes on a little-endian host only.
+static_assert(std::endian::native == std::endian::little,
+              "lane-packed I/O indexes word bytes as lane bytes");
+
+constexpr std::uint64_t kBit0s = 0x0101010101010101ull;
+
+/// Transposes rows [0, n) of a row-major Bit matrix (`iw` Bits per row) into
+/// `iw` words of `wbytes` bytes at `dst`: lane l of word i is bit 0 of row
+/// l's Bit i. Writes lane bytes [0, ceil(n / 8)) of every word, reads no Bit
+/// outside the n rows.
+void pack_lanes(const Bit* src, std::size_t iw, std::size_t n,
+                unsigned char* dst, std::size_t wbytes) noexcept {
+  for (std::size_t l0 = 0; l0 < n; l0 += 8) {
+    const std::size_t rows = std::min<std::size_t>(8, n - l0);
+    const Bit* block = src + l0 * iw;
+    unsigned char* lane_byte = dst + l0 / 8;
+    std::size_t i = 0;
+    for (; i + 8 <= iw; i += 8) {
+      std::uint64_t acc = 0;
+      for (std::size_t r = 0; r < rows; ++r) {
+        std::uint64_t x;
+        std::memcpy(&x, block + r * iw + i, 8);
+        acc |= (x & kBit0s) << r;
+      }
+      for (std::size_t j = 0; j < 8; ++j) {
+        lane_byte[(i + j) * wbytes] = static_cast<unsigned char>(acc >> (8 * j));
+      }
+    }
+    for (; i < iw; ++i) {  // input tail: the last iw % 8 Bits of each row
+      unsigned byte = 0;
+      for (std::size_t r = 0; r < rows; ++r) byte |= (block[r * iw + i] & 1u) << r;
+      lane_byte[i * wbytes] = static_cast<unsigned char>(byte);
+    }
+  }
+}
+
+/// The reverse of pack_lanes for probes: row l of `out` (`probes.size()`
+/// Bits per row, rows [0, n)) gets lane l of every probe's arena word as a
+/// 0/1 Bit. `gathered` holds one lane byte of every probe; each probe word
+/// is read once.
+void unpack_lanes(const unsigned char* arena, std::size_t wbytes,
+                  std::span<const ArenaProbe> probes, std::size_t n,
+                  unsigned char* gathered, Bit* out) noexcept {
+  const std::size_t cols = probes.size();
+  for (std::size_t l0 = 0; l0 < n; l0 += 8) {
+    for (std::size_t j = 0; j < cols; ++j) {
+      gathered[j] = arena[probes[j].word * wbytes + l0 / 8];
+    }
+    const std::size_t rows = std::min<std::size_t>(8, n - l0);
+    for (std::size_t r = 0; r < rows; ++r) {
+      Bit* dst = out + (l0 + r) * cols;
+      std::size_t j = 0;
+      for (; j + 8 <= cols; j += 8) {
+        std::uint64_t x;
+        std::memcpy(&x, gathered + j, 8);
+        x = (x >> r) & kBit0s;
+        std::memcpy(dst + j, &x, 8);
+      }
+      for (; j < cols; ++j) {  // probe tail: the last cols % 8 Bits
+        dst[j] = static_cast<Bit>((gathered[j] >> r) & 1u);
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -116,37 +190,34 @@ void BatchRunner::run_shard(std::span<const Bit> inputs,
   KernelRunner<Word> runner(program_);
   if (options_.native != nullptr) runner.set_kernel(options_.native->kernel<Word>());
   std::vector<Word> row(iw);
-  constexpr std::size_t kU64 = kWordU64Lanes<Word>;
-  std::vector<std::uint64_t> packed(lanes > 1 ? iw * kU64 : 0);
+  const std::size_t cols = probes_.size();
+  std::vector<unsigned char> gathered(lanes > 1 ? cols : 0);
   // Input row for vectors [v, v + n): one vector's bits when scalar, else
-  // vector v + l's bit in lane l of every input word (a transpose).
+  // vector v + l's bit in lane l of every input word (pack_lanes; lanes past
+  // n stay 0).
   const auto load = [&](std::size_t v, std::size_t n) {
     const Bit* src = inputs.data() + v * iw;
     if (lanes == 1) {
       for (std::size_t i = 0; i < iw; ++i) row[i] = static_cast<Word>(src[i] & 1u);
       return;
     }
-    std::fill(packed.begin(), packed.end(), 0);
-    for (std::size_t l = 0; l < n; ++l, src += iw) {
-      for (std::size_t i = 0; i < iw; ++i) {
-        packed[i * kU64 + l / 64] |= std::uint64_t{src[i] & 1u} << (l % 64);
-      }
-    }
-    for (std::size_t i = 0; i < iw; ++i) {
-      row[i] = word_from_u64_lanes<Word>(&packed[i * kU64]);
-    }
+    if (n < lanes) std::fill(row.begin(), row.end(), Word{0});
+    pack_lanes(src, iw, n, reinterpret_cast<unsigned char*>(row.data()),
+               sizeof(Word));
   };
-  const std::size_t cols = probes_.size();
   // Output rows of vectors [v, v + n): lane l is vector v + l (probes of a
-  // lane-parallel program all read bit 0).
+  // lane-parallel program all read bit 0; unpack_lanes).
   const auto store = [&](std::size_t v, std::size_t n) {
-    for (std::size_t l = 0; l < n; ++l) {
-      Bit* dst = out.data() + (v + l) * cols;
+    if (lanes == 1) {
+      Bit* dst = out.data() + v * cols;
       for (std::size_t j = 0; j < cols; ++j) {
-        dst[j] = runner.bit(probes_[j].word,
-                            probes_[j].bit + static_cast<unsigned>(l));
+        dst[j] = runner.bit(probes_[j].word, probes_[j].bit);
       }
+      return;
     }
+    unpack_lanes(reinterpret_cast<const unsigned char*>(runner.arena().data()),
+                 sizeof(Word), probes_, n, gathered.data(),
+                 out.data() + v * cols);
   };
   bool seam = false;
   if (start > slot.begin) {

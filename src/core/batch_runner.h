@@ -17,6 +17,11 @@
 // bit lane. The runner then transposes each lane group of input rows into
 // one word per input, and shards are runs of whole lane groups that need no
 // seam replay: ceil(vectors / word_bits) passes for every thread count.
+// Both transposes move 8 inputs (or probes) × 8 lanes per block: a stream
+// byte's bit 0 is the input (the rest is masked off, as on the scalar
+// path), each probe word is read once per pass, and word bytes are indexed
+// as lane bytes, which needs a little-endian host (asserted at compile
+// time in batch_runner.cpp).
 //
 // Determinism guarantee: run() returns the same bits for every thread
 // count, equal to a sequential KernelRunner replay from the reset arena
