@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <utility>
 
 #include "gen/iscas_profiles.h"
 #include "ir/c_emitter.h"
@@ -34,7 +35,9 @@ int main(int argc, char** argv) {
     if (engine == "lcc") {
       program = compile_lcc(nl).program;
     } else if (engine == "pcset") {
-      program = compile_pcset(nl).program;
+      PCSetCompiled c = compile_pcset(nl);
+      c.program.names = pcset_var_names(nl, c);
+      program = std::move(c.program);
     } else {
       ParallelOptions o;
       if (engine == "parallel-trim") {

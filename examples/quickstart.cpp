@@ -35,7 +35,8 @@ int main() {
 
   // ---- PC-set method ---------------------------------------------------------
   const NetId monitored[] = {e};
-  const PCSetCompiled pcc = compile_pcset(nl, monitored);
+  PCSetCompiled pcc = compile_pcset(nl, monitored);
+  pcc.program.names = pcset_var_names(nl, pcc);  // `/* D_0 */` comments
   std::cout << "=== PC-set method: generated code (cf. paper Fig. 4) ===\n";
   emit_c(std::cout, pcc.program);
 

@@ -366,26 +366,28 @@ class BreakerAttempt {
 }  // namespace
 
 std::unique_ptr<Simulator> make_simulator(const Netlist& nl, EngineKind kind) {
-  const WidthChoice w = dispatch_width();
+  const WidthChoice w = dispatch_width(engine_width_request(kind, 0));
   return make_simulator_impl(nl, kind, nullptr, nullptr, w.word_bits);
 }
 
 std::unique_ptr<Simulator> make_simulator(const Netlist& nl, EngineKind kind,
                                           const CompileGuard& guard) {
-  const WidthChoice w = dispatch_width(0, guard.diag, guard.metrics);
+  const WidthChoice w =
+      dispatch_width(engine_width_request(kind, 0), guard.diag, guard.metrics);
   return make_simulator_impl(nl, kind, &guard, nullptr, w.word_bits);
 }
 
 std::unique_ptr<Simulator> make_simulator(const Netlist& nl, EngineKind kind,
                                           int word_bits) {
-  const WidthChoice w = dispatch_width(word_bits);
+  const WidthChoice w = dispatch_width(engine_width_request(kind, word_bits));
   return make_simulator_impl(nl, kind, nullptr, nullptr, w.word_bits);
 }
 
 std::unique_ptr<Simulator> make_simulator(const Netlist& nl, EngineKind kind,
                                           const CompileGuard& guard,
                                           int word_bits) {
-  const WidthChoice w = dispatch_width(word_bits, guard.diag, guard.metrics);
+  const WidthChoice w = dispatch_width(engine_width_request(kind, word_bits),
+                                      guard.diag, guard.metrics);
   return make_simulator_impl(nl, kind, &guard, nullptr, w.word_bits);
 }
 
@@ -397,7 +399,9 @@ std::unique_ptr<Simulator> make_simulator_with_fallback(const Netlist& nl,
   }
   const CompileGuard guard{policy.budget, diag, policy.metrics, policy.cancel};
   // One dispatch for the whole chain: every candidate engine compiles at the
-  // same resolved lane width, so a downgrade never changes the results.
+  // same resolved lane width, so a downgrade never changes the results and
+  // the budget compares candidates at one width. An unset width is therefore
+  // not widened per engine here (engine_width_request): it stays 32 bits.
   const WidthChoice width = dispatch_width(policy.word_bits, diag, policy.metrics);
   std::size_t downgrades = 0;
   std::size_t native_fallbacks = 0;

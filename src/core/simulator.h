@@ -156,8 +156,10 @@ class Simulator {
 
 /// Construct an engine over `nl` (which must already have wired nets
 /// lowered; see lower_wired_nets). The executor lane width is resolved by
-/// dispatch_width (core/width_dispatch.h): 32-bit by default, overridable
-/// with UDSIM_FORCE_WIDTH.
+/// dispatch_width (core/width_dispatch.h) from engine_width_request: the
+/// widest available lane for the lane-packed engines (PCSet, ZeroDelayLcc,
+/// whose run_batch settles one vector per bit lane), 32 bits for the
+/// parallel variants and Native; UDSIM_FORCE_WIDTH overrides either.
 [[nodiscard]] std::unique_ptr<Simulator> make_simulator(const Netlist& nl,
                                                         EngineKind kind);
 
@@ -168,8 +170,8 @@ class Simulator {
                                                         EngineKind kind,
                                                         const CompileGuard& guard);
 
-/// Explicit lane-width variants: `word_bits` is 0 (the 32-bit default),
-/// kWidthWidest, or one of 32/64/128/256; an unavailable width steps down
+/// Explicit lane-width variants: `word_bits` is 0 (the per-engine default
+/// above), kWidthWidest, or one of 32/64/128/256; an unavailable width steps down
 /// the dispatch ladder (guarded variant: recorded as a WidthFallback
 /// diagnostic in guard.diag). EngineKind::Native rejects widths above 64.
 [[nodiscard]] std::unique_ptr<Simulator> make_simulator(const Netlist& nl,
@@ -205,8 +207,11 @@ struct SimPolicy {
   /// to be silently absent.
   NativeOptions native{};
   /// Executor lane width request, resolved once for the whole chain by
-  /// dispatch_width (0 = the 32-bit default, kWidthWidest = widest
-  /// available, or 32/64/128/256; UDSIM_FORCE_WIDTH overrides). Native
+  /// dispatch_width (0 = 32 bits, kWidthWidest = widest available, or
+  /// 32/64/128/256; UDSIM_FORCE_WIDTH overrides). Unlike make_simulator, an
+  /// unset width is not widened for the chain's lane-packed entries: every
+  /// candidate compiles at the one width, so the budget check compares them
+  /// like for like and a downgrade never changes the lane count. Native
   /// entries are skipped — with a NativeFallback diagnostic — when the
   /// resolved width exceeds 64 bits.
   int word_bits = 0;

@@ -74,7 +74,7 @@ WidthChoice dispatch_width(int requested, Diagnostics* diag,
   c.forced = forced != 0;
   c.requested = c.forced ? forced : requested;
   int want = c.requested;
-  if (want == 0) want = 32;  // the historical scalar default
+  if (want == 0) want = 32;  // unset; make_simulator widens PC-set/LCC first
   if (want == kWidthWidest) want = widest_width();
   if (width_available(want)) {
     c.word_bits = want;

@@ -11,10 +11,18 @@
 // ladder (256 → 128 → 64 → 32) with a structured WidthFallback diagnostic
 // instead of failing. The chosen width is recorded in the `dispatch.width`
 // gauge when a registry is attached.
+//
+// An unset request (0) means a per-engine default (engine_width_request):
+// the lane-packed engines (PC-set, LCC) settle one vector per bit lane, so
+// they take the widest lane; the parallel variants and Native keep 32 bits,
+// where their time-packed fields run fastest. A fallback chain or a
+// SimService resolves one width for all its engines instead, so their
+// budget checks and cache keys compare engines at the same width.
 #pragma once
 
 #include <vector>
 
+#include "core/engine_kind.h"
 #include "netlist/diagnostics.h"
 #include "obs/metrics.h"
 
@@ -44,8 +52,9 @@ struct WidthChoice {
   bool fell_back = false;  ///< request unavailable; ladder stepped down
 };
 
-/// Resolve a width request. `requested` is 0 (the historical 32-bit
-/// default), kWidthWidest, or an explicit bit count; UDSIM_FORCE_WIDTH
+/// Resolve a width request. `requested` is 0 (32 bits here; see
+/// engine_width_request for the per-engine meaning make_simulator gives
+/// it), kWidthWidest, or an explicit bit count; UDSIM_FORCE_WIDTH
 /// overrides it when set. An unavailable or unknown request falls down the
 /// ladder to the widest available width not above it (and up to 32 from
 /// below), reported as DiagCode::WidthFallback into `diag`. The chosen
@@ -53,5 +62,16 @@ struct WidthChoice {
 [[nodiscard]] WidthChoice dispatch_width(int requested = 0,
                                          Diagnostics* diag = nullptr,
                                          MetricsRegistry* metrics = nullptr);
+
+/// The request make_simulator passes to dispatch_width for `kind`: an unset
+/// width (0) becomes kWidthWidest for the lane-packed engines (PCSet,
+/// ZeroDelayLcc), whose passes settle one vector per bit lane; every other
+/// request, and every other engine, is returned unchanged (0 = 32 bits).
+[[nodiscard]] constexpr int engine_width_request(EngineKind kind,
+                                                 int requested) noexcept {
+  const bool lane_packed =
+      kind == EngineKind::PCSet || kind == EngineKind::ZeroDelayLcc;
+  return requested == 0 && lane_packed ? kWidthWidest : requested;
+}
 
 }  // namespace udsim

@@ -43,14 +43,15 @@ namespace {
   return stream;
 }
 
-/// One row. `word_bits` follows the dispatch_width convention (0 = the
-/// default lane width).
+/// One row at the `word_bits` request (dispatch_width convention). The
+/// engine rows pin 32-bit lanes so their exact counters stay comparable
+/// across ledgers; the width rows below cover the wider lanes.
 [[nodiscard]] BenchEngineResult measure_engine(const Netlist& nl,
                                                EngineKind kind,
                                                unsigned threads,
                                                std::span<const Bit> stream,
                                                const BenchRunConfig& cfg,
-                                               int word_bits = 0) {
+                                               int word_bits = 32) {
   BenchEngineResult row;
   row.engine = bench_engine_slug(kind);
   row.threads = threads;

@@ -30,6 +30,17 @@ std::uint32_t PCSetCompiled::final_var(NetId n) const {
   return vars.back().second;
 }
 
+std::vector<std::string> pcset_var_names(const Netlist& nl,
+                                         const PCSetCompiled& c) {
+  std::vector<std::string> names(c.variable_count);
+  for (std::uint32_t n = 0; n < c.net_vars.size(); ++n) {
+    for (const auto& [time, word] : c.net_vars[n]) {
+      names[word] = nl.net(NetId{n}).name + "_" + std::to_string(time);
+    }
+  }
+  return names;
+}
+
 PCSetCompiled compile_pcset(const Netlist& nl, std::span<const NetId> monitored,
                             int word_bits) {
   return compile_pcset(nl, monitored, word_bits, CompileGuard{});
@@ -90,7 +101,6 @@ PCSetCompiled compile_pcset(const Netlist& nl, std::span<const NetId> monitored,
   for (std::uint32_t n = 0; n < nl.net_count(); ++n) {
     for (int t : pc.net_pc[n].to_vector()) {
       out.net_vars[n].emplace_back(t, next);
-      p.names.push_back(nl.net(NetId{n}).name + "_" + std::to_string(t));
       ++next;
     }
   }

@@ -7,13 +7,14 @@
 // exactly as in paper Fig. 4. The output routine is the PRINT pseudo-gate:
 // one output vector per element of the union of the monitored nets' PC-sets.
 //
-// Because every op is bitwise, the same program simulates 32 (or 64)
-// *independent vector streams* at once when inputs are packed one stream per
-// bit-lane — the data-parallel extension the paper notes the PC-set method
-// is amenable to (and the parallel technique is not).
+// Because every op is bitwise, the same program simulates word_bits (32 to
+// 256) *independent vector streams* at once when inputs are packed one
+// stream per bit-lane — the data-parallel extension the paper notes the
+// PC-set method is amenable to (and the parallel technique is not).
 #pragma once
 
 #include <span>
+#include <string>
 #include <vector>
 
 #include "analysis/compile_budget.h"
@@ -59,6 +60,13 @@ struct PCSetCompiled {
                                           std::span<const NetId> monitored,
                                           int word_bits,
                                           const CompileGuard& guard);
+
+/// The paper's variable names (`D_0`, `E_2`: net name, PC-set element) of
+/// every arena word of `c`, indexed by arena word; derived from
+/// `c.net_vars`, since the compiled program carries no names. Assign the
+/// result to `c.program.names` to get them as emit_c comments.
+[[nodiscard]] std::vector<std::string> pcset_var_names(const Netlist& nl,
+                                                       const PCSetCompiled& c);
 
 /// Runtime wrapper: steps one vector at a time (lane 0), exposes the value
 /// history of monitored nets.

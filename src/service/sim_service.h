@@ -121,9 +121,10 @@ struct ServiceConfig {
   /// Deterministic fault injection for the batch phase (tests/bench only).
   FaultInjector* inject = nullptr;
   /// Executor lane width request, resolved once at construction by
-  /// dispatch_width (0 = the 32-bit default; kWidthWidest; 32/64/128/256;
-  /// UDSIM_FORCE_WIDTH overrides). The resolved width keys the program
-  /// cache and is compiled into every engine the service builds.
+  /// dispatch_width (0 = 32 bits for every engine, as in SimPolicy;
+  /// kWidthWidest; 32/64/128/256; UDSIM_FORCE_WIDTH overrides). The
+  /// resolved width keys the program cache and is compiled into every
+  /// engine the service builds.
   int word_bits = 0;
   /// Request tracing, rolling-window SLOs and the JSONL event log.
   TelemetryConfig telemetry{};

@@ -31,8 +31,9 @@ constexpr std::size_t kVectors = 8;
 
 /// One registry accumulating compile + runtime counters for every engine,
 /// with per-engine disambiguation left to the engine-agnostic counter names
-/// (the sums are what the fixture pins down).
-std::string collect_metrics(const std::string& circuit, int word_bits = 0) {
+/// (the sums are what the fixture pins down). Every engine runs at the one
+/// requested width; the unwidthed fixtures pin 32-bit lanes.
+std::string collect_metrics(const std::string& circuit, int word_bits) {
   const Netlist nl = make_iscas85_like(circuit, /*seed=*/1);
   MetricsRegistry reg;
   const CompileGuard guard{CompileBudget{}, nullptr, &reg};
@@ -63,7 +64,7 @@ class GoldenMetricsTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(GoldenMetricsTest, MatchesFixture) {
   const std::string circuit = GetParam();
-  const std::string actual = collect_metrics(circuit);
+  const std::string actual = collect_metrics(circuit, 32);
   const std::string path = golden_path(circuit);
   if (test::g_update_golden) {
     std::ofstream out(path);

@@ -24,9 +24,10 @@ TEST(PCSetSim, Fig4GeneratedCode) {
   std::vector<std::string> stmts;
   for (const Op& op : c.program.ops) stmts.push_back(op_to_c(c.program, op, opts));
   // First statement is the retained-value init D_0 = D_1.
+  const std::vector<std::string> names = pcset_var_names(nl, c);
   const auto var = [&](const char* name) {
-    for (std::uint32_t i = 0; i < c.program.names.size(); ++i) {
-      if (c.program.names[i] == name) return i;
+    for (std::uint32_t i = 0; i < names.size(); ++i) {
+      if (names[i] == name) return i;
     }
     ADD_FAILURE() << "no variable " << name;
     return 0u;

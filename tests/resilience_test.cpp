@@ -421,7 +421,8 @@ TEST(BatchResilience, MidGroupStopRunsExactlyTheLanesBeforeIt) {
   // bit-identical to an uninterrupted one.
   const Netlist nl = test_dag(16);
   for (EngineKind kind : {EngineKind::ZeroDelayLcc, EngineKind::PCSet}) {
-    const auto sim = make_simulator(nl, kind);
+    // 32 lanes: the 100-vector, 2-shard geometry below assumes them.
+    const auto sim = make_simulator(nl, kind, 32);
     const Program& program = *sim->compiled_program();
     const std::vector<ArenaProbe> probes = sim->output_probes();
     const std::size_t count = 100;

@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -168,5 +170,37 @@ inline Program dependency_preserving_shuffle(const Program& p, std::uint64_t see
   }
   return out;
 }
+
+/// Sets (or clears, with nullptr) one environment variable for the scope
+/// and restores the previous state on exit, so tests cannot leak a forced
+/// width into each other.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) {
+      had_old_ = true;
+      old_ = old;
+    }
+    if (value) {
+      ::setenv(name, value, /*overwrite=*/1);
+    } else {
+      ::unsetenv(name);
+    }
+  }
+  ~ScopedEnv() {
+    if (had_old_) {
+      ::setenv(name_, old_.c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  bool had_old_ = false;
+  std::string old_;
+};
 
 }  // namespace udsim::test

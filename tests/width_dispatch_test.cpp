@@ -18,44 +18,13 @@
 #include "lcc/lcc.h"
 #include "netlist/diagnostics.h"
 #include "obs/metrics.h"
+#include "test_util.h"
 
 namespace udsim {
 namespace {
 
-/// Sets (or clears, with nullptr) one environment variable for the scope
-/// and restores the previous state on exit, so tests cannot leak a forced
-/// width into each other.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_old_ = true;
-      old_ = old;
-    }
-    if (value) {
-      ::setenv(name, value, /*overwrite=*/1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  const char* name_;
-  bool had_old_ = false;
-  std::string old_;
-};
-
 TEST(WidthDispatch, LadderAlwaysCarries32And64) {
-  const ScopedEnv clear("UDSIM_FORCE_WIDTH", nullptr);
+  const test::ScopedEnv clear("UDSIM_FORCE_WIDTH", nullptr);
   const std::vector<int> widths = supported_widths();
   ASSERT_GE(widths.size(), 2u);
   EXPECT_EQ(widths.front(), 32);
@@ -71,7 +40,7 @@ TEST(WidthDispatch, LadderAlwaysCarries32And64) {
 }
 
 TEST(WidthDispatch, DefaultRequestStaysAt32Bits) {
-  const ScopedEnv clear("UDSIM_FORCE_WIDTH", nullptr);
+  const test::ScopedEnv clear("UDSIM_FORCE_WIDTH", nullptr);
   const WidthChoice c = dispatch_width();
   EXPECT_EQ(c.word_bits, 32);
   EXPECT_FALSE(c.forced);
@@ -79,14 +48,14 @@ TEST(WidthDispatch, DefaultRequestStaysAt32Bits) {
 }
 
 TEST(WidthDispatch, WidestRequestSelectsLadderTop) {
-  const ScopedEnv clear("UDSIM_FORCE_WIDTH", nullptr);
+  const test::ScopedEnv clear("UDSIM_FORCE_WIDTH", nullptr);
   const WidthChoice c = dispatch_width(kWidthWidest);
   EXPECT_EQ(c.word_bits, widest_width());
   EXPECT_FALSE(c.fell_back);
 }
 
 TEST(WidthDispatch, ExplicitAvailableWidthsDispatchExactly) {
-  const ScopedEnv clear("UDSIM_FORCE_WIDTH", nullptr);
+  const test::ScopedEnv clear("UDSIM_FORCE_WIDTH", nullptr);
   const Netlist nl = make_iscas85_like("c432");
   for (int w : supported_widths()) {
     MetricsRegistry reg;
@@ -108,7 +77,7 @@ TEST(WidthDispatch, ExplicitAvailableWidthsDispatchExactly) {
 TEST(WidthDispatch, ForceEnvOverridesEveryRequest) {
   const Netlist nl = make_iscas85_like("c432");
   for (int w : supported_widths()) {
-    const ScopedEnv force("UDSIM_FORCE_WIDTH", std::to_string(w).c_str());
+    const test::ScopedEnv force("UDSIM_FORCE_WIDTH", std::to_string(w).c_str());
     const WidthChoice c = dispatch_width(/*requested=*/32);
     EXPECT_EQ(c.word_bits, w);
     EXPECT_TRUE(c.forced);
@@ -120,7 +89,7 @@ TEST(WidthDispatch, ForceEnvOverridesEveryRequest) {
 }
 
 TEST(WidthDispatch, UnknownRequestFallsDownLadderWithDiagnostic) {
-  const ScopedEnv clear("UDSIM_FORCE_WIDTH", nullptr);
+  const test::ScopedEnv clear("UDSIM_FORCE_WIDTH", nullptr);
   Diagnostics diag;
   MetricsRegistry reg;
   // 512 is above the ladder: fall to the widest available width.
@@ -143,7 +112,7 @@ TEST(WidthDispatch, UnknownRequestFallsDownLadderWithDiagnostic) {
 }
 
 TEST(WidthDispatch, ForcedUnavailableWidthAlsoFallsBack) {
-  const ScopedEnv force("UDSIM_FORCE_WIDTH", "512");
+  const test::ScopedEnv force("UDSIM_FORCE_WIDTH", "512");
   Diagnostics diag;
   const WidthChoice c = dispatch_width(/*requested=*/32, &diag);
   EXPECT_EQ(c.word_bits, widest_width());
@@ -156,7 +125,7 @@ TEST(WidthDispatch, KernelRunnerRejectsMismatchedProgramWithDiagnostic) {
   // Regression: a program compiled for 64-bit words handed to a 32-bit
   // runner must throw WordSizeMismatch naming BOTH widths and report a
   // structured ProgramWordSize record (historically a bare string).
-  const ScopedEnv clear("UDSIM_FORCE_WIDTH", nullptr);
+  const test::ScopedEnv clear("UDSIM_FORCE_WIDTH", nullptr);
   const Netlist nl = make_iscas85_like("c432");
   const LccCompiled compiled = compile_lcc(nl, 64);
   ASSERT_EQ(compiled.program.word_bits, 64);
@@ -180,7 +149,7 @@ TEST(WidthDispatch, KernelRunnerRejectsMismatchedProgramWithDiagnostic) {
 TEST(WidthDispatch, NativeEngineRejectsWideWidths) {
   // The native backend has no portable C word type above 64 bits; a direct
   // request is a caller error, not a silent downgrade.
-  const ScopedEnv clear("UDSIM_FORCE_WIDTH", nullptr);
+  const test::ScopedEnv clear("UDSIM_FORCE_WIDTH", nullptr);
   const Netlist nl = make_iscas85_like("c432");
   if (!width_available(128)) GTEST_SKIP() << "no 128-bit lane on this build";
   EXPECT_THROW((void)make_simulator(nl, EngineKind::Native, 128),
@@ -191,7 +160,7 @@ TEST(WidthDispatch, FallbackChainSkipsNativeAtWideWidths) {
   // In a *chain*, the same situation is a structured skip: NativeFallback
   // diagnostic + native.fallback counter, then the IR engines take over at
   // the requested width.
-  const ScopedEnv clear("UDSIM_FORCE_WIDTH", nullptr);
+  const test::ScopedEnv clear("UDSIM_FORCE_WIDTH", nullptr);
   if (!width_available(128)) GTEST_SKIP() << "no 128-bit lane on this build";
   const Netlist nl = make_iscas85_like("c432");
   MetricsRegistry reg;
