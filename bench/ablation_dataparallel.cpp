@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
     const double vps1 =
         n / time_compiled<std::uint32_t>(c.program, w, args.trials);
     const double vps32 = n / time_packed32(c.program, w, args.trials);
-    table.add_row({name, std::to_string(c.program.size()), Table::num(vps1, 0),
+    table.add_row({name, std::to_string(c.program.ops.size()), Table::num(vps1, 0),
                    Table::num(vps32, 0), Table::num(vps32 / vps1, 1)});
   }
   table.print(std::cout);

@@ -35,8 +35,8 @@ int main(int argc, char** argv) {
         n / time_compiled<std::uint64_t>(c64.program, w, args.trials);
     table.add_row({name, std::to_string(c32.stats.field_words_max),
                    std::to_string(c64.stats.field_words_max),
-                   std::to_string(c32.stats.total_ops),
-                   std::to_string(c64.stats.total_ops), Table::num(vps32, 0),
+                   std::to_string(c32.program.ops.size()),
+                   std::to_string(c64.program.ops.size()), Table::num(vps32, 0),
                    Table::num(vps64, 0), Table::num(vps64 / vps32, 2)});
   }
   table.print(std::cout);

@@ -31,8 +31,8 @@ void report(const udsim::Netlist& nl, udsim::Table& table) {
                  std::to_string(st.depth + 1), Table::num(st.avg_fanin, 2),
                  std::to_string(pc.total_net_pc_size()),
                  std::to_string(pc.max_net_pc_size()),
-                 std::to_string(pcs.program.size()),
-                 std::to_string(par.program.size()),
+                 std::to_string(pcs.program.ops.size()),
+                 std::to_string(par.program.ops.size()),
                  std::to_string(par.stats.field_words_max)});
 }
 

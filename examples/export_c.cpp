@@ -12,6 +12,7 @@
 #include <iostream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "gen/iscas_profiles.h"
 #include "ir/c_emitter.h"
@@ -32,11 +33,14 @@ int main(int argc, char** argv) {
     lower_wired_nets(nl);
 
     Program program;
+    std::vector<std::string> names;  // `/* net */` comments
     if (engine == "lcc") {
-      program = compile_lcc(nl).program;
+      LccCompiled c = compile_lcc(nl);
+      names = lcc_var_names(nl, c);
+      program = std::move(c.program);
     } else if (engine == "pcset") {
       PCSetCompiled c = compile_pcset(nl);
-      c.program.names = pcset_var_names(nl, c);
+      names = pcset_var_names(nl, c);
       program = std::move(c.program);
     } else {
       ParallelOptions o;
@@ -53,13 +57,15 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "unknown engine '%s'\n", engine.c_str());
         return 2;
       }
-      program = compile_parallel(nl, o).program;
+      ParallelCompiled c = compile_parallel(nl, o);
+      names = parallel_var_names(nl, c);
+      program = std::move(c.program);
     }
     std::fprintf(stderr,
                  "circuit %s, engine %s: %zu ops, %u arena words, %zu inputs\n",
-                 nl.name().c_str(), engine.c_str(), program.size(),
+                 nl.name().c_str(), engine.c_str(), program.ops.size(),
                  program.arena_words, nl.primary_inputs().size());
-    emit_c(std::cout, program);
+    emit_c(std::cout, program, {}, names);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

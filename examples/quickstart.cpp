@@ -35,15 +35,14 @@ int main() {
 
   // ---- PC-set method ---------------------------------------------------------
   const NetId monitored[] = {e};
-  PCSetCompiled pcc = compile_pcset(nl, monitored);
-  pcc.program.names = pcset_var_names(nl, pcc);  // `/* D_0 */` comments
+  const PCSetCompiled pcc = compile_pcset(nl, monitored);
   std::cout << "=== PC-set method: generated code (cf. paper Fig. 4) ===\n";
-  emit_c(std::cout, pcc.program);
+  emit_c(std::cout, pcc.program, {}, pcset_var_names(nl, pcc));  // `/* D_0 */`
 
   // ---- parallel technique ----------------------------------------------------
   const ParallelCompiled par = compile_parallel(nl, {});
   std::cout << "\n=== parallel technique: generated code (cf. paper Fig. 6) ===\n";
-  emit_c(std::cout, par.program);
+  emit_c(std::cout, par.program, {}, parallel_var_names(nl, par));
 
   // ---- simulate a vector sequence and show the unit-delay histories ----------
   ParallelSim<> psim(nl);

@@ -1,6 +1,7 @@
 #include "analysis/compile_budget.h"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "analysis/alignment.h"
@@ -57,14 +58,24 @@ namespace {
   return fanin - 1 + (inverted ? 1 : 0);
 }
 
-/// Approximate resident footprint of a compiled program: the word arena,
-/// the op vector, and per-arena-word name metadata.
-[[nodiscard]] std::size_t peak_bytes_for(std::size_t arena_words, std::size_t ops,
-                                         int word_bits,
-                                         std::size_t net_count) noexcept {
-  const std::size_t word_bytes = static_cast<std::size_t>(word_bits) / 8;
-  return arena_words * (word_bytes + sizeof(std::string)) + ops * sizeof(Op) +
-         net_count * 64;
+/// Bytes one compiled engine allocates: ops and arena_init at their exact
+/// sizes, one word arena at the lane width, and its compiled type's side
+/// tables — LCC's net_var and def_end; PC-set's net_vars (a vector per
+/// net, a (time, word) pair per variable); for the parallel variants six
+/// ints per net, three per gate (charged per net), and a trim-class
+/// vector per net with one byte per field word.
+[[nodiscard]] std::size_t peak_bytes_for(EngineKind kind, std::size_t arena_words,
+                                         std::size_t ops, std::size_t init_words,
+                                         int word_bits, std::size_t nets) noexcept {
+  using NetVar = std::pair<int, std::uint32_t>;
+  const std::size_t side =
+      kind == EngineKind::ZeroDelayLcc ? nets * 2 * sizeof(std::uint32_t)
+      : kind == EngineKind::PCSet
+          ? nets * sizeof(std::vector<NetVar>) + arena_words * sizeof(NetVar)
+          : nets * (9 * sizeof(int) + sizeof(std::vector<WordClass>)) +
+                arena_words * sizeof(WordClass);
+  return ops * sizeof(Op) + init_words * sizeof(Program::InitWord) +
+         arena_words * static_cast<std::size_t>(word_bits / 8) + side;
 }
 
 [[nodiscard]] bool gate_driven_by_constant(const Netlist& nl, NetId n) {
@@ -74,14 +85,9 @@ namespace {
 
 // ---- zero-delay LCC --------------------------------------------------------
 // One variable per net, one gate evaluation per gate: the formula is exact.
-CompileCostEstimate estimate_lcc(const Netlist& nl, int word_bits) {
-  CompileCostEstimate c;
-  c.arena_words = nl.net_count();
-  c.ops = nl.primary_inputs().size();
-  for (const Gate& g : nl.gates()) {
-    c.ops += gate_word_ops(g.type, g.inputs.size());
-  }
-  c.peak_bytes = peak_bytes_for(c.arena_words, c.ops, word_bits, nl.net_count());
+CompileCostEstimate estimate_lcc(const Netlist& nl) {
+  CompileCostEstimate c{.arena_words = nl.net_count(), .ops = nl.primary_inputs().size()};
+  for (const Gate& g : nl.gates()) c.ops += gate_word_ops(g.type, g.inputs.size());
   return c;
 }
 
@@ -89,7 +95,7 @@ CompileCostEstimate estimate_lcc(const Netlist& nl, int word_bits) {
 // One variable per (net, PC element); one gate simulation per non-zero
 // element of each gate's PC-set, plus the X_0 = X_max retained-value copies.
 // Mirrors the compile_pcset loops without emitting anything.
-CompileCostEstimate estimate_pcset(const Netlist& nl, int word_bits) {
+CompileCostEstimate estimate_pcset(const Netlist& nl) {
   const Levelization lv = levelize(nl);
   PCSets pc = compute_pc_sets(nl, lv);
   const std::vector<NetId>& monitored = nl.primary_outputs();
@@ -115,7 +121,6 @@ CompileCostEstimate estimate_pcset(const Netlist& nl, int word_bits) {
     if (pc.gate_pc[gi].test(0)) --elements;  // zero element: value retained
     c.ops += elements * gate_word_ops(g.type, g.inputs.size());
   }
-  c.peak_bytes = peak_bytes_for(c.arena_words, c.ops, word_bits, nl.net_count());
   return c;
 }
 
@@ -203,16 +208,6 @@ CompileCostEstimate estimate_parallel(const Netlist& nl, EngineKind kind,
     scratch = std::max(scratch, res_words + 2 + 3 * distinct);
   }
   c.arena_words += scratch;
-  c.peak_bytes = peak_bytes_for(c.arena_words, c.ops, word_bits, nl.net_count());
-  return c;
-}
-
-// ---- interpreted event engines ---------------------------------------------
-// No compiled program: arena and op counts are zero, only the interpreter's
-// per-net/per-gate bookkeeping appears as footprint.
-CompileCostEstimate estimate_event(const Netlist& nl) {
-  CompileCostEstimate c;
-  c.peak_bytes = (nl.net_count() + nl.gate_count()) * 64;
   return c;
 }
 
@@ -229,12 +224,9 @@ BudgetExceeded::BudgetExceeded(const CompileCostEstimate& cost,
 
 CompileCostEstimate measure_compile_cost(const Program& p, EngineKind kind,
                                          std::size_t net_count) {
-  CompileCostEstimate c;
-  c.kind = kind;
-  c.arena_words = p.arena_words;
-  c.ops = p.ops.size();
-  c.peak_bytes = peak_bytes_for(c.arena_words, c.ops, p.word_bits, net_count);
-  return c;
+  return {kind, p.arena_words, p.ops.size(),
+          peak_bytes_for(kind, p.arena_words, p.ops.size(), p.arena_init.size(),
+                         p.word_bits, net_count)};
 }
 
 CompileCostEstimate estimate_compile_cost(const Netlist& nl, EngineKind kind,
@@ -243,13 +235,14 @@ CompileCostEstimate estimate_compile_cost(const Netlist& nl, EngineKind kind,
   switch (kind) {
     case EngineKind::Event2:
     case EngineKind::Event3:
-      c = estimate_event(nl);
-      break;
+      // No compiled program: only the interpreter's per-net/per-gate
+      // bookkeeping appears as footprint.
+      return {kind, 0, 0, (nl.net_count() + nl.gate_count()) * 64};
     case EngineKind::ZeroDelayLcc:
-      c = estimate_lcc(nl, word_bits);
+      c = estimate_lcc(nl);
       break;
     case EngineKind::PCSet:
-      c = estimate_pcset(nl, word_bits);
+      c = estimate_pcset(nl);
       break;
     case EngineKind::Parallel:
     case EngineKind::ParallelTrimmed:
@@ -265,6 +258,11 @@ CompileCostEstimate estimate_compile_cost(const Netlist& nl, EngineKind kind,
       break;
   }
   c.kind = kind;
+  // arena_init: one word per constant net (exact for LCC and PC-set).
+  const auto constants = static_cast<std::size_t>(std::count_if(
+      nl.gates().begin(), nl.gates().end(), [](const Gate& g) { return is_constant(g.type); }));
+  c.peak_bytes = peak_bytes_for(kind, c.arena_words, c.ops, constants, word_bits,
+                                nl.net_count());
   return c;
 }
 

@@ -28,7 +28,7 @@ namespace udsim {
 struct CompileBudget {
   std::size_t max_arena_words = 0;  ///< word-arena size of the compiled program
   std::size_t max_ops = 0;          ///< straight-line op count (code size)
-  std::size_t max_peak_bytes = 0;   ///< approximate resident bytes (arena + code)
+  std::size_t max_peak_bytes = 0;   ///< resident bytes (CompileCostEstimate::peak_bytes)
 
   [[nodiscard]] bool unlimited() const noexcept {
     return max_arena_words == 0 && max_ops == 0 && max_peak_bytes == 0;
@@ -40,6 +40,8 @@ struct CompileCostEstimate {
   EngineKind kind = EngineKind::ZeroDelayLcc;
   std::size_t arena_words = 0;
   std::size_t ops = 0;
+  /// Bytes the compiled engine allocates: ops, arena_init, one arena at the
+  /// lane width, and its compiled type's side tables (peak_bytes_for).
   std::size_t peak_bytes = 0;
 };
 

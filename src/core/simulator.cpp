@@ -70,7 +70,7 @@ const Program* batch_program(const PCSetSim<W>& e) { return &e.compiled().progra
 template <class W>
 const Program* batch_program(const ParallelSim<W>& e) { return &e.compiled().program; }
 template <class W>
-const Program* batch_program(const LccSim<W>& e) { return &e.program(); }
+const Program* batch_program(const LccSim<W>& e) { return &e.compiled().program; }
 
 // Engine-specific per-pass constants for the batch layer's execution
 // counters (only the parallel technique has trimming extras).

@@ -9,36 +9,32 @@ namespace udsim {
 
 namespace {
 
-std::string ref(const Program& p, const CEmitOptions& opts, std::uint32_t idx) {
+std::string ref(const CEmitOptions& opts, std::span<const std::string> names,
+                std::uint32_t idx) {
   std::ostringstream os;
   os << opts.arena_name << "[" << idx << "]";
-  if (opts.comments && idx < p.names.size() && !p.names[idx].empty()) {
-    os << " /* " << p.names[idx] << " */";
+  if (opts.comments && idx < names.size() && !names[idx].empty()) {
+    os << " /* " << names[idx] << " */";
   }
-  return os.str();
-}
-
-std::string in_ref(std::uint32_t idx) {
-  std::ostringstream os;
-  os << "in[" << idx << "]";
   return os.str();
 }
 
 }  // namespace
 
-std::string op_to_c(const Program& p, const Op& op, const CEmitOptions& opts) {
+std::string op_to_c(const Program& p, const Op& op, const CEmitOptions& opts,
+                    std::span<const std::string> names) {
   const unsigned W = static_cast<unsigned>(p.word_bits);
   // Literals must carry the arena's width: a 32-bit `~0u` or `1u << 40`
   // zero-extended into a uint64_t arena would silently miscompute.
   const char* kOnes = W == 64 ? "~0ull" : "~0u";
   const char* kZero = W == 64 ? "0ull" : "0u";
   const char* kOne = W == 64 ? "1ull" : "1u";
-  const std::string d = ref(p, opts, op.dst);
+  const std::string d = ref(opts, names, op.dst);
   const std::string a = op.code == OpCode::LoadBit || op.code == OpCode::LoadBcast ||
                                 op.code == OpCode::LoadWord
-                            ? in_ref(op.a)
-                            : ref(p, opts, op.a);
-  const std::string b = ref(p, opts, op.b);
+                            ? "in[" + std::to_string(op.a) + "]"
+                            : ref(opts, names, op.a);
+  const std::string b = ref(opts, names, op.b);
   std::ostringstream os;
   switch (op.code) {
     case OpCode::Const:
@@ -121,7 +117,8 @@ std::string op_to_c(const Program& p, const Op& op, const CEmitOptions& opts) {
   return os.str();
 }
 
-void emit_c(std::ostream& os, const Program& p, const CEmitOptions& opts) {
+void emit_c(std::ostream& os, const Program& p, const CEmitOptions& opts,
+            std::span<const std::string> names) {
   if (p.word_bits != 32 && p.word_bits != 64) {
     // Portable C has no standard 128/256-bit integer; the wide lanes are
     // IR-executor-only (the fallback chain skips Native above 64 bits).
@@ -133,43 +130,36 @@ void emit_c(std::ostream& os, const Program& p, const CEmitOptions& opts) {
   const char* suffix = p.word_bits == 64 ? "ull" : "u";
   const std::string& fn = opts.function_name;
   const std::string& ar = opts.arena_name;
+  const std::string arena_param = std::string(word_type) + " *" + ar;
   os << "/* generated by udsim */\n#include <stdint.h>\n\n";
   if (!opts.batch_entry) {
     // Historical layout: the arena is a zero-initialized global, as in the
     // paper's figures.
     os << word_type << " " << ar << "[" << p.arena_words << "];\n\n";
     os << "void " << fn << "_init(void) {\n";
-    for (const Program::InitWord& iw : p.arena_init) {
-      os << "  " << ar << "[" << iw.index << "] = " << iw.value << suffix << ";\n";
-    }
-    os << "}\n\n";
-    os << "void " << fn << "(const " << word_type << " *in) {\n";
-    for (const Op& op : p.ops) {
-      os << "  " << op_to_c(p, op, opts) << "\n";
-    }
-    os << "}\n";
-    return;
+  } else {
+    // Native-backend layout: the arena is caller-owned (the backend keeps it
+    // across dlclose/reload and snapshots it for checkpoints), so every entry
+    // point takes it as the first parameter, and _init must zero it — a
+    // malloc'd arena has no static storage guarantee.
+    os << "void " << fn << "_init(" << arena_param << ") {\n";
+    os << "  uint32_t i;\n";
+    os << "  for (i = 0; i < " << p.arena_words << "u; ++i) " << ar << "[i] = 0"
+       << suffix << ";\n";
   }
-  // Native-backend layout: the arena is caller-owned (the backend keeps it
-  // across dlclose/reload and snapshots it for checkpoints), so every entry
-  // point takes it as the first parameter, and _init must zero it — a
-  // malloc'd arena has no static storage guarantee.
-  os << "void " << fn << "_init(" << word_type << " *" << ar << ") {\n";
-  os << "  uint32_t i;\n";
-  os << "  for (i = 0; i < " << p.arena_words << "u; ++i) " << ar << "[i] = 0"
-     << suffix << ";\n";
   for (const Program::InitWord& iw : p.arena_init) {
     os << "  " << ar << "[" << iw.index << "] = " << iw.value << suffix << ";\n";
   }
   os << "}\n\n";
-  os << "void " << fn << "(" << word_type << " *" << ar << ", const " << word_type
-     << " *in) {\n";
+  os << "void " << fn << "(" << (opts.batch_entry ? arena_param + ", " : "") << "const "
+     << word_type << " *in) {\n";
   for (const Op& op : p.ops) {
-    os << "  " << op_to_c(p, op, opts) << "\n";
+    os << "  " << op_to_c(p, op, opts, names) << "\n";
   }
-  os << "}\n\n";
-  os << "void " << fn << "_run(" << word_type << " *" << ar << ", const "
-     << word_type << " *in, uint64_t n_vectors) {\n";
+  os << "}\n";
+  if (!opts.batch_entry) return;
+  os << "\nvoid " << fn << "_run(" << arena_param << ", const " << word_type
+     << " *in, uint64_t n_vectors) {\n";
   os << "  uint64_t v;\n";
   os << "  for (v = 0; v < n_vectors; ++v) {\n";
   os << "    " << fn << "(" << ar << ", in);\n";

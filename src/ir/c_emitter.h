@@ -6,6 +6,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <span>
 #include <string>
 
 #include "ir/program.h"
@@ -15,7 +16,7 @@ namespace udsim {
 struct CEmitOptions {
   std::string function_name = "udsim_step";
   std::string arena_name = "udsim_arena";
-  /// Emit `/* name */` comments on ops whose dst has a symbolic name.
+  /// Emit `/* name */` comments from the `names` argument (empty: none).
   bool comments = true;
   /// Entry-point mode (the native backend, DESIGN.md §5h): the arena becomes
   /// the first parameter of every function instead of a global, and a batch
@@ -33,12 +34,15 @@ struct CEmitOptions {
 ///   void <fn>(const uintN_t *in) { ...one statement per op...; }
 /// where N = program.word_bits. With batch_entry = true the arena is a
 /// parameter and `<fn>_run(arena, in, n_vectors)` is appended (see
-/// CEmitOptions::batch_entry).
-void emit_c(std::ostream& os, const Program& p, const CEmitOptions& opts = {});
+/// CEmitOptions::batch_entry). `names`, one per arena word, come from the
+/// compiled type (lcc_var_names, pcset_var_names, parallel_var_names).
+void emit_c(std::ostream& os, const Program& p, const CEmitOptions& opts = {},
+            std::span<const std::string> names = {});
 
 /// The single C statement for one op (used by emit_c and by tests that
 /// check the generated-code shape against the paper's figures).
 [[nodiscard]] std::string op_to_c(const Program& p, const Op& op,
-                                  const CEmitOptions& opts = {});
+                                  const CEmitOptions& opts = {},
+                                  std::span<const std::string> names = {});
 
 }  // namespace udsim

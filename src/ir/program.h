@@ -11,11 +11,13 @@
 // word counts, 64/128/256-bit for the wide lanes); shift immediates are
 // produced by the compilers for a specific word size, recorded in
 // `word_bits`.
+//
+// A Program holds only what a pass reads, at its exact size: no names (the
+// C emitter takes them from the compiled type) and no spare op capacity.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace udsim {
@@ -72,12 +74,6 @@ struct Program {
     std::uint64_t value;  ///< widened per init_word_value at execution time
   };
   std::vector<InitWord> arena_init;
-
-  /// Optional symbolic names for arena words (used by the C emitter and for
-  /// debugging); may be empty or sparse.
-  std::vector<std::string> names;
-
-  [[nodiscard]] std::size_t size() const noexcept { return ops.size(); }
 };
 
 /// The distinct arena words one op reads: `a` unless it is an input index

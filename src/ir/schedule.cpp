@@ -234,6 +234,8 @@ class RunScheduler {
 }  // namespace
 
 void schedule_runs(Program& p) {
+  // Compilers push_back ops; the program lives as long as its engine.
+  p.ops.shrink_to_fit();
   if (p.ops.size() < 2) return;
   RunScheduler scheduler(p.arena_words, static_cast<std::uint32_t>(std::min<std::size_t>(
                                             kWindow, p.ops.size())));

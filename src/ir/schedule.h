@@ -20,7 +20,8 @@ namespace udsim {
 /// Works in fixed windows of 4096 source ops (an op never leaves its
 /// window, so earlier windows have met every cross-window dependency).
 /// Linear time; temporaries are one window plus one arena-sized index
-/// array. The op multiset, arena_init and every other field are unchanged.
+/// array. The op multiset, arena_init and every other field are unchanged;
+/// the op vector's spare capacity is released.
 /// Every arena word an op reads or writes must lie below `p.arena_words`, as
 /// in every compiled program (validate_program's ProgramOpBounds).
 void schedule_runs(Program& p);

@@ -7,6 +7,14 @@
 
 namespace udsim {
 
+std::vector<std::string> lcc_var_names(const Netlist& nl, const LccCompiled& c) {
+  std::vector<std::string> names(c.program.arena_words);
+  for (std::uint32_t n = 0; n < c.net_var.size(); ++n) {
+    names[c.net_var[n]] = nl.net(NetId{n}).name;
+  }
+  return names;
+}
+
 LccCompiled compile_lcc(const Netlist& nl, int word_bits) {
   return compile_lcc(nl, word_bits, CompileGuard{});
 }
@@ -25,11 +33,7 @@ LccCompiled compile_lcc(const Netlist& nl, int word_bits,
   p.word_bits = word_bits;
 
   out.net_var.resize(nl.net_count());
-  p.names.resize(nl.net_count());
-  for (std::uint32_t n = 0; n < nl.net_count(); ++n) {
-    out.net_var[n] = n;
-    p.names[n] = nl.net(NetId{n}).name;
-  }
+  for (std::uint32_t n = 0; n < nl.net_count(); ++n) out.net_var[n] = n;
   p.arena_words = static_cast<std::uint32_t>(nl.net_count());
   p.input_words = static_cast<std::uint32_t>(nl.primary_inputs().size());
 

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <span>
+#include <string>
 #include <vector>
 
 #include "analysis/compile_budget.h"
@@ -32,6 +33,10 @@ struct LccCompiled {
 /// `guard.diag` when set.
 [[nodiscard]] LccCompiled compile_lcc(const Netlist& nl, int word_bits,
                                       const CompileGuard& guard);
+
+/// Per arena word of `c`, its emit_c comment name: the net it holds.
+[[nodiscard]] std::vector<std::string> lcc_var_names(const Netlist& nl,
+                                                     const LccCompiled& c);
 
 /// Convenience runtime wrapper: one vector per step, in lane 0.
 template <class Word = std::uint32_t>
@@ -63,7 +68,6 @@ class LccSim {
   [[nodiscard]] ArenaProbe final_arena_probe(NetId n) const {
     return {compiled_.net_var[n.value], 0};
   }
-  [[nodiscard]] const Program& program() const noexcept { return compiled_.program; }
   [[nodiscard]] const LccCompiled& compiled() const noexcept { return compiled_; }
 
   /// Attach runtime execution counters (obs/pass_cost.h).

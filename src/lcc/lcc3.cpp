@@ -118,17 +118,13 @@ Lcc3Compiled compile_lcc3(const Netlist& nl, bool packed, int word_bits) {
     }
   }
   Lcc3Compiled out;
-  out.packed = packed;
   Program& p = out.program;
   p.word_bits = word_bits;
   out.net_h.resize(nl.net_count());
   out.net_l.resize(nl.net_count());
-  p.names.resize(2 * nl.net_count());
   for (std::uint32_t n = 0; n < nl.net_count(); ++n) {
     out.net_h[n] = 2 * n;
     out.net_l[n] = 2 * n + 1;
-    p.names[2 * n] = nl.net(NetId{n}).name + ".h";
-    p.names[2 * n + 1] = nl.net(NetId{n}).name + ".l";
   }
   const auto scratch_base = static_cast<std::uint32_t>(2 * nl.net_count());
   p.arena_words = scratch_base + 6;

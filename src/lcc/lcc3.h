@@ -23,7 +23,6 @@ struct Lcc3Compiled {
   Program program;
   std::vector<std::uint32_t> net_h;  ///< arena word: may-be-one rail
   std::vector<std::uint32_t> net_l;  ///< arena word: may-be-zero rail
-  bool packed = false;
 };
 
 /// Generate the dual-rail zero-delay program. Inputs are two words per

@@ -24,7 +24,7 @@ namespace udsim {
 
 /// What one executor pass over a Program costs, by static count.
 struct ProgramPassCost {
-  std::uint64_t ops = 0;            ///< total ops (== program.size())
+  std::uint64_t ops = 0;            ///< total ops (== program.ops.size())
   std::uint64_t words_written = 0;  ///< arena stores (every op writes dst)
   std::uint64_t words_read = 0;     ///< arena reads (dst for accumulate ops too)
   std::uint64_t shift_ops = 0;      ///< Shl/Shr/ShlOr/MaskShlOr/Funnel*

@@ -64,6 +64,18 @@ ParallelCompiled::Probe ParallelCompiled::final_probe(NetId n) const {
   return probe(n, lv.net_level[n.value]);
 }
 
+std::vector<std::string> parallel_var_names(const Netlist& nl,
+                                            const ParallelCompiled& c) {
+  std::vector<std::string> names(c.program.arena_words);
+  for (std::uint32_t n = 0; n < c.net_base.size(); ++n) {
+    const std::string& name = nl.net(NetId{n}).name;
+    for (std::uint32_t w = 0; w < c.net_words[n]; ++w) {
+      names[c.net_base[n] + w] = w == 0 ? name : name + ".w" + std::to_string(w);
+    }
+  }
+  return names;
+}
+
 namespace {
 
 // Builds the straight-line program for one netlist under one option set.
@@ -95,10 +107,6 @@ class ParallelEmitter {
       const auto words = static_cast<std::uint32_t>((out_.widths[n] + W_ - 1) / W_);
       out_.net_base[n] = next;
       out_.net_words[n] = words;
-      for (std::uint32_t w = 0; w < words; ++w) {
-        p_.names.push_back(w == 0 ? nl_.net(NetId{n}).name
-                                  : nl_.net(NetId{n}).name + ".w" + std::to_string(w));
-      }
       next += words;
     }
     field_end_ = next;
@@ -110,7 +118,6 @@ class ParallelEmitter {
   [[nodiscard]] std::uint32_t scratch() {
     const std::uint32_t idx = field_end_ + scratch_next_++;
     scratch_high_ = std::max(scratch_high_, scratch_next_);
-    while (p_.names.size() <= idx) p_.names.emplace_back();
     return idx;
   }
 
@@ -177,7 +184,7 @@ class ParallelEmitter {
       if (net.is_primary_input || net.drivers.empty()) continue;
       const GateId drv = net.drivers.front();
       if (is_constant(nl_.gate(drv).type)) continue;
-      const auto& cls = out_.trim_classes(n);
+      const auto& cls = out_.trim.net_words[n];
       const std::uint32_t base = out_.net_base[n];
       const int pos_final = lv().net_level[n] - out_.plan.net_align[n];
       // Stable-low words: every bit is the previous vector's final value.
@@ -213,7 +220,7 @@ class ParallelEmitter {
     const std::uint32_t n = out_net.value;
     const std::uint32_t out_base = out_.net_base[n];
     const std::uint32_t out_words = out_.net_words[n];
-    const auto& cls = out_.trim_classes(n);
+    const auto& cls = out_.trim.net_words[n];
     const int s_out = out_.plan.output_shift(nl_, gid);
     const int a_g = out_.plan.gate_align[gid.value];
 
@@ -383,8 +390,6 @@ class ParallelEmitter {
   }
 
   void finalize_stats() {
-    out_.stats.total_ops = p_.ops.size();
-    out_.stats.arena_words = p_.arena_words;
     for (std::uint32_t n = 0; n < nl_.net_count(); ++n) {
       out_.stats.field_bits_max = std::max(out_.stats.field_bits_max, out_.widths[n]);
       out_.stats.field_words_max =

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <span>
+#include <string>
 #include <vector>
 
 #include "analysis/alignment.h"
@@ -43,10 +44,8 @@ struct ParallelCodeStats {
   std::size_t shift_ops = 0;         ///< funnel/shift ops emitted
   std::size_t suppressed_stores = 0; ///< per-word stores skipped by trimming
   std::size_t gate_eval_ops = 0;
-  std::size_t total_ops = 0;
   int field_words_max = 0;           ///< words per field (uniform in unopt mode)
   int field_bits_max = 0;
-  std::size_t arena_words = 0;
 };
 
 struct ParallelCompiled {
@@ -59,10 +58,6 @@ struct ParallelCompiled {
   std::vector<std::uint32_t> net_words;   ///< words per field
   TrimPlan trim;
   ParallelCodeStats stats;
-
-  [[nodiscard]] const std::vector<WordClass>& trim_classes(std::uint32_t n) const {
-    return trim.net_words[n];
-  }
 
   struct Probe {
     std::uint32_t word;
@@ -85,6 +80,11 @@ struct ParallelCompiled {
 [[nodiscard]] ParallelCompiled compile_parallel(const Netlist& nl,
                                                 const ParallelOptions& options,
                                                 const CompileGuard& guard);
+
+/// Per arena word of `c`, its emit_c comment name, from the field layout:
+/// `name` for a field's first word, `name.wK` for word K, empty for scratch.
+[[nodiscard]] std::vector<std::string> parallel_var_names(const Netlist& nl,
+                                                          const ParallelCompiled& c);
 
 /// The EngineKind label of one parallel-technique option set (used for
 /// budget errors and diagnostics).

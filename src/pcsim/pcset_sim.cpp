@@ -32,7 +32,7 @@ std::uint32_t PCSetCompiled::final_var(NetId n) const {
 
 std::vector<std::string> pcset_var_names(const Netlist& nl,
                                          const PCSetCompiled& c) {
-  std::vector<std::string> names(c.variable_count);
+  std::vector<std::string> names(c.program.arena_words);
   for (std::uint32_t n = 0; n < c.net_vars.size(); ++n) {
     for (const auto& [time, word] : c.net_vars[n]) {
       names[word] = nl.net(NetId{n}).name + "_" + std::to_string(time);
@@ -105,7 +105,6 @@ PCSetCompiled compile_pcset(const Netlist& nl, std::span<const NetId> monitored,
     }
   }
   p.arena_words = next;
-  out.variable_count = next;
 
   const auto var_of = [&](NetId n, int t) -> std::uint32_t {
     for (const auto& [time, word] : out.net_vars[n.value]) {
@@ -185,7 +184,7 @@ PCSetCompiled compile_pcset(const Netlist& nl, std::span<const NetId> monitored,
     reg->counter("compile.arena_init_words").add(p.arena_init.size());
     reg->counter("compile.input_words").add(p.input_words);
     reg->counter("compile.depth").set_max(static_cast<std::uint64_t>(lv.depth));
-    reg->counter("compile.pcset_variables").add(out.variable_count);
+    reg->counter("compile.pcset_variables").add(p.arena_words);
     reg->counter("compile.print_times").add(out.print_times.size());
   }
   if (!guard.budget.unlimited()) {

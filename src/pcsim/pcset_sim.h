@@ -38,8 +38,6 @@ struct PCSetCompiled {
   /// print_times[i].
   std::vector<std::vector<std::uint32_t>> print_vars;
 
-  std::size_t variable_count = 0;
-
   /// Arena word of the net's variable for time t' = largest PC element <= t;
   /// throws std::out_of_range if the net has no element <= t.
   [[nodiscard]] std::uint32_t var_at_or_before(NetId n, int t) const;
@@ -63,8 +61,8 @@ struct PCSetCompiled {
 
 /// The paper's variable names (`D_0`, `E_2`: net name, PC-set element) of
 /// every arena word of `c`, indexed by arena word; derived from
-/// `c.net_vars`, since the compiled program carries no names. Assign the
-/// result to `c.program.names` to get them as emit_c comments.
+/// `c.net_vars`, since the compiled program carries no names. Pass the
+/// result to emit_c for `/* D_0 */` comments.
 [[nodiscard]] std::vector<std::string> pcset_var_names(const Netlist& nl,
                                                        const PCSetCompiled& c);
 

@@ -1,9 +1,11 @@
 // CompileBudget / BudgetExceeded: the cost model's accuracy contract (the
-// prediction stays within 2x of the emitted program on every ISCAS-85
+// prediction stays within 2x of the emitted program, and its peak bytes
+// within 2x of what the compiled object really allocates, on every ISCAS-85
 // profile) and the guarded compilers' enforcement semantics.
 #include <gtest/gtest.h>
 
 #include "analysis/compile_budget.h"
+#include "gen/arithmetic.h"
 #include "gen/iscas_profiles.h"
 #include "lcc/lcc.h"
 #include "parsim/parallel_sim.h"
@@ -107,6 +109,98 @@ TEST(BudgetAccuracy, LccAndPcsetPredictionsAreExact) {
       EXPECT_EQ(est.ops, act.ops) << name << " " << engine_name(kind);
     }
   }
+}
+
+// ---- real footprint ---------------------------------------------------------
+// measure_compile_cost derives bytes from the emitted Program's sizes, the
+// same formula as the prediction; these tests weigh the compiled object
+// itself, by the capacities of everything it allocates.
+
+template <class T>
+std::size_t capacity_bytes(const std::vector<T>& v) {
+  std::size_t bytes = v.capacity() * sizeof(T);
+  if constexpr (requires(const T& x) { x.capacity(); }) {
+    for (const T& x : v) bytes += capacity_bytes(x);
+  }
+  return bytes;
+}
+
+/// ops and arena_init at their capacities, plus one arena at the lane width.
+std::size_t program_bytes(const Program& p) {
+  return capacity_bytes(p.ops) + capacity_bytes(p.arena_init) +
+         std::size_t{p.arena_words} * static_cast<std::size_t>(p.word_bits / 8);
+}
+
+/// Compiles `kind` at `word_bits`, checks that its ops hold no spare
+/// capacity, and returns the bytes the compiled object really holds: the
+/// program (program_bytes) and every per-net side table of its type.
+std::size_t real_footprint(const Netlist& nl, EngineKind kind, int word_bits) {
+  const auto exact = [&](const Program& p) {
+    EXPECT_EQ(p.ops.capacity(), p.ops.size())
+        << nl.name() << " " << engine_name(kind) << " w" << word_bits;
+  };
+  switch (kind) {
+    case EngineKind::ZeroDelayLcc: {
+      const LccCompiled c = compile_lcc(nl, word_bits);
+      exact(c.program);
+      return program_bytes(c.program) + capacity_bytes(c.net_var) +
+             capacity_bytes(c.def_end);
+    }
+    case EngineKind::PCSet: {
+      const PCSetCompiled c = compile_pcset(nl, {}, word_bits);
+      exact(c.program);
+      return program_bytes(c.program) + capacity_bytes(c.monitored) +
+             capacity_bytes(c.net_vars) + capacity_bytes(c.print_times) +
+             capacity_bytes(c.print_vars);
+    }
+    default: {
+      ParallelOptions o = options_for(kind);
+      o.word_bits = word_bits;
+      const ParallelCompiled c = compile_parallel(nl, o);
+      exact(c.program);
+      return program_bytes(c.program) + capacity_bytes(c.plan.net_align) +
+             capacity_bytes(c.plan.gate_align) + capacity_bytes(c.lv.net_level) +
+             capacity_bytes(c.lv.net_minlevel) + capacity_bytes(c.lv.gate_level) +
+             capacity_bytes(c.lv.gate_minlevel) + capacity_bytes(c.widths) +
+             capacity_bytes(c.net_base) + capacity_bytes(c.net_words) +
+             capacity_bytes(c.trim.net_words);
+    }
+  }
+}
+
+/// Every compiled engine at 32 and 256 bits: exact ops, and predicted peak
+/// bytes within 2x of the real footprint in both directions.
+void expect_peak_bytes_within_2x_of_real(const Netlist& nl) {
+  for (EngineKind kind : kCompiledKinds) {
+    for (const int word_bits : {32, 256}) {
+      const std::size_t est = estimate_compile_cost(nl, kind, word_bits).peak_bytes;
+      const std::size_t real = real_footprint(nl, kind, word_bits);
+      EXPECT_LE(est, 2 * real) << nl.name() << " " << engine_name(kind) << " w"
+                               << word_bits << ": predicted " << est << " real " << real;
+      EXPECT_LE(real, 2 * est) << nl.name() << " " << engine_name(kind) << " w"
+                               << word_bits << ": predicted " << est << " real " << real;
+    }
+  }
+}
+
+class RealFootprint : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(RealFootprint, ExactOpsAndPeakBytesWithin2xOfReal) {
+  expect_peak_bytes_within_2x_of_real(make_iscas85_like(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Iscas85, RealFootprint,
+                         ::testing::Values("c432", "c499", "c880", "c1355",
+                                           "c1908", "c2670", "c3540", "c5315",
+                                           "c6288", "c7552"));
+
+// A design nearly three times the largest ISCAS profile, where PC-set's
+// op vector is largest (632,771 ops; growing by push_back alone it kept a
+// 1,048,576-op capacity).
+TEST(RealFootprint, ArrayMultiplier32x32) {
+  const Netlist nl = array_multiplier(32, 32);
+  ASSERT_EQ(nl.gate_count(), 9760u);
+  expect_peak_bytes_within_2x_of_real(nl);
 }
 
 TEST(Budget, ZeroLimitsMeanUnlimited) {

@@ -2,6 +2,11 @@
 // for every opcode at both word sizes, plus the full translation unit
 // emit_c produces in both layouts (historical global-arena and the native
 // backend's batch-entry mode), diffed against tests/golden/emitted_c_ops.txt.
+// A second fixture, tests/golden/emitted_c_named.txt, pins the commented
+// listings examples/export_c prints for data/c17.bench (lcc, pcset,
+// parallel, parallel-combined) and quickstart's two listings, with the
+// names each compiled type derives (lcc_var_names, pcset_var_names,
+// parallel_var_names).
 //
 // The emitted text is ABI: the native backend compiles it with the system C
 // compiler and the cache keys assume equal programs emit equal C. A drift
@@ -23,6 +28,11 @@
 #include "golden_flag.h"
 #include "ir/c_emitter.h"
 #include "ir/program.h"
+#include "lcc/lcc.h"
+#include "netlist/bench_io.h"
+#include "parsim/parallel_sim.h"
+#include "pcsim/pcset_sim.h"
+#include "test_util.h"
 
 namespace udsim {
 namespace {
@@ -62,7 +72,11 @@ const OpCase kOpCases[] = {
     {"FunnelR", {OpCode::FunnelR, 3, 2, 0, 1}},
 };
 
-/// Small fixed program exercising names, init words and input loads.
+/// Comment names of tiny_program's arena words.
+const std::vector<std::string> kTinyNames = {"", "", "G3"};
+
+/// Small fixed program exercising init words and input loads; named by
+/// kTinyNames.
 Program tiny_program(int word_bits) {
   Program p;
   p.word_bits = word_bits;
@@ -74,7 +88,6 @@ Program tiny_program(int word_bits) {
       {OpCode::Nand, 0, 2, 0, 1},
   };
   p.arena_init = {{3, 1}};
-  p.names = {"", "", "G3"};
   return p;
 }
 
@@ -97,21 +110,60 @@ std::string render_golden() {
     const Program p = tiny_program(wb);
     os << "== emit_c w" << wb << " (historical layout) ==\n";
     CEmitOptions opts;
-    emit_c(os, p, opts);
+    emit_c(os, p, opts, kTinyNames);
     os << "== emit_c w" << wb << " (batch entry) ==\n";
     opts.function_name = "udsim_kernel";
     opts.arena_name = "a";
     opts.comments = false;
     opts.batch_entry = true;
-    emit_c(os, p, opts);
+    emit_c(os, p, opts, kTinyNames);
   }
   return os.str();
 }
 
-TEST(EmittedCGoldenTest, MatchesFixture) {
-  const std::string actual = render_golden();
-  const std::string path =
-      std::string(UDSIM_GOLDEN_DIR) + "/emitted_c_ops.txt";
+/// The commented listings of examples/export_c on data/c17.bench and of
+/// examples/quickstart, each under a `== <source> ==` header.
+std::string render_named() {
+  std::ostringstream os;
+  Netlist c17 = read_bench_file(std::string(UDSIM_DATA_DIR) + "/c17.bench");
+  lower_wired_nets(c17);
+  {
+    const LccCompiled c = compile_lcc(c17);
+    os << "== export_c c17 lcc ==\n";
+    emit_c(os, c.program, {}, lcc_var_names(c17, c));
+  }
+  {
+    const PCSetCompiled c = compile_pcset(c17);
+    os << "== export_c c17 pcset ==\n";
+    emit_c(os, c.program, {}, pcset_var_names(c17, c));
+  }
+  ParallelOptions combined;
+  combined.trimming = true;
+  combined.shift_elim = ShiftElim::PathTracing;
+  for (const auto& [label, options] :
+       {std::pair{"parallel", ParallelOptions{}},
+        std::pair{"parallel-combined", combined}}) {
+    const ParallelCompiled c = compile_parallel(c17, options);
+    os << "== export_c c17 " << label << " ==\n";
+    emit_c(os, c.program, {}, parallel_var_names(c17, c));
+  }
+  const Netlist fig4 = test::fig4_network();
+  const NetId monitored[] = {*fig4.find_net("E")};
+  {
+    const PCSetCompiled c = compile_pcset(fig4, monitored);
+    os << "== quickstart pcset ==\n";
+    emit_c(os, c.program, {}, pcset_var_names(fig4, c));
+  }
+  {
+    const ParallelCompiled c = compile_parallel(fig4, {});
+    os << "== quickstart parallel ==\n";
+    emit_c(os, c.program, {}, parallel_var_names(fig4, c));
+  }
+  return os.str();
+}
+
+void expect_matches_fixture(const std::string& actual, const char* file) {
+  const std::string path = std::string(UDSIM_GOLDEN_DIR) + "/" + file;
   if (test::g_update_golden) {
     std::ofstream out(path);
     ASSERT_TRUE(out) << "cannot write " << path;
@@ -127,6 +179,40 @@ TEST(EmittedCGoldenTest, MatchesFixture) {
   EXPECT_EQ(actual, expected.str())
       << "emitted C drifted from " << path
       << " — a codegen regression, or refresh with --update-golden";
+}
+
+TEST(EmittedCGoldenTest, MatchesFixture) {
+  expect_matches_fixture(render_golden(), "emitted_c_ops.txt");
+}
+
+// Programs carry no names; the name helpers must reproduce the comments
+// the compilers once stored, byte for byte.
+TEST(EmittedCGoldenTest, NamedListingsMatchFixture) {
+  expect_matches_fixture(render_named(), "emitted_c_named.txt");
+}
+
+// A field wider than one word names its words `name`, `name.w1`, ...;
+// scratch words after the fields stay unnamed.
+TEST(EmittedCGoldenTest, ParallelNamesCoverEveryFieldWord) {
+  Netlist nl("chain");
+  NetId prev = nl.add_net("a");
+  nl.mark_primary_input(prev);
+  for (int i = 0; i < 40; ++i) {
+    const NetId next = nl.add_net("n" + std::to_string(i));
+    nl.add_gate(GateType::Not, {prev}, next);
+    prev = next;
+  }
+  nl.mark_primary_output(prev);
+  const ParallelCompiled c = compile_parallel(nl, {});
+  const std::vector<std::string> names = parallel_var_names(nl, c);
+  ASSERT_EQ(names.size(), c.program.arena_words);
+  const std::uint32_t a = nl.find_net("a")->value;
+  ASSERT_EQ(c.net_words[a], 2u);  // 41-bit uniform fields at 32 bits
+  EXPECT_EQ(names[c.net_base[a]], "a");
+  EXPECT_EQ(names[c.net_base[a] + 1], "a.w1");
+  const std::uint32_t field_end = c.net_base.back() + c.net_words.back();
+  ASSERT_LT(field_end, c.program.arena_words);
+  for (std::uint32_t w = field_end; w < names.size(); ++w) EXPECT_EQ(names[w], "");
 }
 
 }  // namespace

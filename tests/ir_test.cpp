@@ -145,16 +145,17 @@ TEST(CEmitter, StatementShapes) {
   Program p;
   p.word_bits = 32;
   p.arena_words = 4;
-  p.names = {"A", "B", "C", ""};
+  const std::vector<std::string> names = {"A", "B", "C", ""};
   CEmitOptions opts;
   opts.comments = false;
   opts.arena_name = "w";
-  EXPECT_EQ(op_to_c(p, {OpCode::And, 0, 2, 0, 1}, opts), "w[2] = w[0] & w[1];");
-  EXPECT_EQ(op_to_c(p, {OpCode::ShlOr, 1, 2, 0, 0}, opts), "w[2] |= w[0] << 1;");
-  EXPECT_EQ(op_to_c(p, {OpCode::FunnelR, 4, 3, 0, 1}, opts),
+  EXPECT_EQ(op_to_c(p, {OpCode::And, 0, 2, 0, 1}, opts, names), "w[2] = w[0] & w[1];");
+  EXPECT_EQ(op_to_c(p, {OpCode::ShlOr, 1, 2, 0, 0}, opts, names), "w[2] |= w[0] << 1;");
+  EXPECT_EQ(op_to_c(p, {OpCode::FunnelR, 4, 3, 0, 1}, opts, names),
             "w[3] = (w[0] >> 4) | (w[1] << 28);");
-  EXPECT_EQ(op_to_c(p, {OpCode::LoadBit, 0, 0, 7, 0}, opts), "w[0] = in[7] & 1u;");
-  EXPECT_EQ(op_to_c(p, {OpCode::ExtractBit, 31, 0, 1, 0}, opts),
+  EXPECT_EQ(op_to_c(p, {OpCode::LoadBit, 0, 0, 7, 0}, opts, names),
+            "w[0] = in[7] & 1u;");
+  EXPECT_EQ(op_to_c(p, {OpCode::ExtractBit, 31, 0, 1, 0}, opts, names),
             "w[0] = (w[1] >> 31) & 1u;");
 }
 
@@ -163,12 +164,12 @@ TEST(CEmitter, FullProgramIsWellFormed) {
   p.word_bits = 32;
   p.arena_words = 2;
   p.input_words = 1;
-  p.names = {"A", "B"};
+  const std::vector<std::string> names = {"A", "B"};
   p.arena_init.push_back({1, 5});
   p.ops.push_back({OpCode::LoadBit, 0, 0, 0, 0});
   p.ops.push_back({OpCode::Not, 0, 1, 0, 0});
   std::ostringstream os;
-  emit_c(os, p);
+  emit_c(os, p, {}, names);
   const std::string s = os.str();
   EXPECT_NE(s.find("#include <stdint.h>"), std::string::npos);
   EXPECT_NE(s.find("uint32_t udsim_arena[2];"), std::string::npos);

@@ -16,7 +16,7 @@ TEST(Lcc, Fig1GeneratedCodeIsOneOpPerGate) {
   // Fig. 1: D = A & B; E = C & D; — plus one load per primary input.
   const Netlist nl = test::fig4_network();
   const LccCompiled c = compile_lcc(nl);
-  EXPECT_EQ(c.program.size(), nl.primary_inputs().size() + nl.gate_count());
+  EXPECT_EQ(c.program.ops.size(), nl.primary_inputs().size() + nl.gate_count());
 }
 
 TEST(Lcc, MatchesOracleFinals) {

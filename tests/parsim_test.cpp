@@ -175,7 +175,7 @@ TEST(ParallelSim, TrimmingReducesOpsOnDeepCircuits) {
   ParallelOptions o;
   o.trimming = true;
   const ParallelCompiled trimmed = compile_parallel(nl, o);
-  EXPECT_LT(trimmed.stats.total_ops, plain.stats.total_ops);
+  EXPECT_LT(trimmed.program.ops.size(), plain.program.ops.size());
   EXPECT_GT(trimmed.stats.suppressed_stores, 0u);
 }
 
@@ -192,7 +192,7 @@ TEST(ParallelSim, TrimmingNoEffectOnSingleWordCircuits) {
   ParallelOptions o;
   o.trimming = true;
   const ParallelCompiled trimmed = compile_parallel(nl, o);
-  EXPECT_EQ(trimmed.stats.total_ops, plain.stats.total_ops);
+  EXPECT_EQ(trimmed.program.ops.size(), plain.program.ops.size());
 }
 
 TEST(ParallelSim, FieldAccessForHazardAnalysis) {

@@ -18,7 +18,7 @@ TEST(PCSetSim, Fig4GeneratedCode) {
   const NetId mon[] = {*nl.find_net("E")};
   const PCSetCompiled c = compile_pcset(nl, mon);
   // Variables: A_0 B_0 C_0 D_0 D_1 E_1 E_2 (paper Fig. 4).
-  EXPECT_EQ(c.variable_count, 7u);
+  EXPECT_EQ(c.program.arena_words, 7u);
   CEmitOptions opts;
   opts.comments = false;
   std::vector<std::string> stmts;
@@ -122,7 +122,7 @@ TEST(PCSetSim, CodeSizeTracksTotalPCSetSize) {
   const Netlist wide = random_dag(p);
   const auto ops_per_gate = [](const Netlist& nl) {
     const PCSetCompiled c = compile_pcset(nl);
-    return static_cast<double>(c.program.size()) /
+    return static_cast<double>(c.program.ops.size()) /
            static_cast<double>(nl.gate_count());
   };
   EXPECT_GT(ops_per_gate(wide), ops_per_gate(narrow));
