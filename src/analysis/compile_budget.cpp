@@ -4,12 +4,9 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/alignment.h"
-#include "analysis/levelize.h"
-#include "analysis/pcset.h"
-#include "analysis/trimming.h"
 #include "ir/program.h"
 #include "netlist/logic.h"
+#include "obs/metrics.h"
 
 namespace udsim {
 
@@ -83,32 +80,61 @@ namespace {
   return !net.drivers.empty() && is_constant(nl.gate(net.drivers.front()).type);
 }
 
-// ---- zero-delay LCC --------------------------------------------------------
-// One variable per net, one gate evaluation per gate: the formula is exact.
-CompileCostEstimate estimate_lcc(const Netlist& nl) {
-  CompileCostEstimate c{.arena_words = nl.net_count(), .ops = nl.primary_inputs().size()};
-  for (const Gate& g : nl.gates()) c.ops += gate_word_ops(g.type, g.inputs.size());
+/// Sets peak_bytes, counting arena_init as one word per constant net.
+[[nodiscard]] CompileCostEstimate with_peak_bytes(const Netlist& nl,
+                                                  CompileCostEstimate c,
+                                                  int word_bits) {
+  const auto constants = static_cast<std::size_t>(std::count_if(
+      nl.gates().begin(), nl.gates().end(), [](const Gate& g) { return is_constant(g.type); }));
+  c.peak_bytes = peak_bytes_for(c.kind, c.arena_words, c.ops, constants, word_bits,
+                                nl.net_count());
   return c;
 }
 
+// ---- zero-delay LCC --------------------------------------------------------
+// One variable per net, one gate evaluation per gate: the formula is exact.
+CompileCostEstimate lcc_cost(const Netlist& nl, int word_bits) {
+  CompileCostEstimate c{.kind = EngineKind::ZeroDelayLcc,
+                        .arena_words = nl.net_count(),
+                        .ops = nl.primary_inputs().size()};
+  for (const Gate& g : nl.gates()) c.ops += gate_word_ops(g.type, g.inputs.size());
+  return with_peak_bytes(nl, c, word_bits);
+}
+
+/// The unoptimized technique's variants give every net a uniform field.
+[[nodiscard]] bool uniform_fields(EngineKind kind) noexcept {
+  return kind == EngineKind::Parallel || kind == EngineKind::ParallelTrimmed;
+}
+
+}  // namespace
+
 // ---- PC-set method ---------------------------------------------------------
-// One variable per (net, PC element); one gate simulation per non-zero
-// element of each gate's PC-set, plus the X_0 = X_max retained-value copies.
-// Mirrors the compile_pcset loops without emitting anything.
-CompileCostEstimate estimate_pcset(const Netlist& nl) {
-  const Levelization lv = levelize(nl);
+
+PCSets analyse_pcset(const Netlist& nl, std::span<const NetId> monitored,
+                     const CompileGuard& guard) {
+  const Levelization lv = [&] {
+    guard.check_cancel("compile.levelize");
+    TraceSpan span(guard.metrics, "compile.levelize");
+    return levelize(nl);
+  }();
+  guard.check_cancel("compile.pcset");
+  TraceSpan span(guard.metrics, "compile.pcset");
   PCSets pc = compute_pc_sets(nl, lv);
-  const std::vector<NetId>& monitored = nl.primary_outputs();
   insert_zeros(nl, lv, monitored, pc);
   bool print_at_zero = false;
   for (NetId m : monitored) print_at_zero |= pc.net_pc[m.value].test(0);
   if (print_at_zero) {
     for (NetId m : monitored) pc.net_pc[m.value].set(0);
   }
+  return pc;
+}
 
-  CompileCostEstimate c;
-  c.arena_words = pc.total_net_pc_size();
-  c.ops = nl.primary_inputs().size();
+// One variable per (net, PC element); one gate simulation per non-zero
+// element of each gate's PC-set, plus the X_0 = X_max retained-value copies.
+// Mirrors the compile_pcset loops without emitting anything.
+CompileCostEstimate pcset_cost(const Netlist& nl, const PCSets& pc, int word_bits) {
+  CompileCostEstimate c{.kind = EngineKind::PCSet, .arena_words = pc.total_net_pc_size(),
+                        .ops = nl.primary_inputs().size()};
   for (std::uint32_t n = 0; n < nl.net_count(); ++n) {
     const NetId id{n};
     if (nl.net(id).is_primary_input || gate_driven_by_constant(nl, id)) continue;
@@ -121,37 +147,58 @@ CompileCostEstimate estimate_pcset(const Netlist& nl) {
     if (pc.gate_pc[gi].test(0)) --elements;  // zero element: value retained
     c.ops += elements * gate_word_ops(g.type, g.inputs.size());
   }
-  return c;
+  return with_peak_bytes(nl, c, word_bits);
 }
 
 // ---- parallel technique ----------------------------------------------------
+
+ParallelAnalysis analyse_parallel(const Netlist& nl, EngineKind kind, bool trimming,
+                                  int word_bits, const CompileGuard& guard) {
+  MetricsRegistry* const reg = guard.metrics;
+  ParallelAnalysis a;
+  {
+    guard.check_cancel("compile.levelize");
+    TraceSpan span(reg, "compile.levelize");
+    a.lv = levelize(nl);
+  }
+  {
+    guard.check_cancel("compile.alignment");
+    TraceSpan span(reg, "compile.alignment");
+    if (uniform_fields(kind)) {
+      a.plan = align_unoptimized(nl, a.lv);
+    } else if (kind == EngineKind::ParallelCycleBreaking) {
+      a.plan = align_cycle_breaking(nl, a.lv);
+    } else {
+      a.plan = align_path_tracing(nl, a.lv);
+    }
+    check_alignment_plan(nl, a.lv, a.plan);
+  }
+  guard.check_cancel("compile.trimming");
+  TraceSpan span(reg, "compile.trimming");
+  a.widths = field_widths(nl, a.lv, a.plan, uniform_fields(kind));
+  if (trimming) {
+    const PCSets pc = [&] {
+      TraceSpan pc_span(reg, "compile.pcset");
+      return compute_pc_sets(nl, a.lv);
+    }();
+    a.trim = compute_trim_plan(nl, a.lv, pc, a.plan, a.widths, word_bits);
+  } else {
+    a.trim = full_trim_plan(nl, a.widths, word_bits);
+  }
+  return a;
+}
+
 // Bit-field words from the alignment plan and trim classes; op count from
 // per-gate computed-word counts, realignment sites and store shifts. This
 // is a model, not a replay of the emitter — tests pin it within 2x of the
 // emitted program on the ISCAS-85 profiles.
-CompileCostEstimate estimate_parallel(const Netlist& nl, EngineKind kind,
-                                      int word_bits) {
-  const bool uniform =
-      kind == EngineKind::Parallel || kind == EngineKind::ParallelTrimmed;
-  const bool trimming =
-      kind == EngineKind::ParallelTrimmed || kind == EngineKind::ParallelCombined;
-  const Levelization lv = levelize(nl);
-  AlignmentPlan plan;
-  if (uniform) {
-    plan = align_unoptimized(nl, lv);
-  } else if (kind == EngineKind::ParallelCycleBreaking) {
-    plan = align_cycle_breaking(nl, lv);
-  } else {
-    plan = align_path_tracing(nl, lv);
-  }
-  const std::vector<int> widths = field_widths(nl, lv, plan, uniform);
-  const TrimPlan trim = trimming
-                            ? compute_trim_plan(nl, lv, compute_pc_sets(nl, lv),
-                                                plan, widths, word_bits)
-                            : full_trim_plan(nl, widths, word_bits);
-  const int W = word_bits;
+CompileCostEstimate parallel_cost(const Netlist& nl, EngineKind kind,
+                                  const ParallelAnalysis& a) {
+  const bool uniform = uniform_fields(kind);
+  const auto& [lv, plan, widths, trim] = a;
+  const int W = trim.word_bits;
 
-  CompileCostEstimate c;
+  CompileCostEstimate c{.kind = kind};
   // Fields.
   std::vector<std::uint32_t> net_words(nl.net_count());
   for (std::uint32_t n = 0; n < nl.net_count(); ++n) {
@@ -178,6 +225,7 @@ CompileCostEstimate estimate_parallel(const Netlist& nl, EngineKind kind,
 
   // Per-gate evaluation, realignment and store ops; scratch high-water.
   std::size_t scratch = 2;  // PI loads use two scratch words
+  std::vector<std::uint32_t> seen;
   for (std::uint32_t gi = 0; gi < nl.gate_count(); ++gi) {
     const Gate& g = nl.gate(GateId{gi});
     if (is_constant(g.type)) continue;
@@ -193,7 +241,7 @@ CompileCostEstimate estimate_parallel(const Netlist& nl, EngineKind kind,
     const auto res_words = static_cast<std::size_t>((res_bits + W - 1) / W);
     std::size_t pins_with_shift = 0;
     std::size_t distinct = 0;
-    std::vector<std::uint32_t> seen;
+    seen.clear();
     for (NetId in : g.inputs) {
       if (std::find(seen.begin(), seen.end(), in.value) == seen.end()) {
         seen.push_back(in.value);
@@ -208,10 +256,8 @@ CompileCostEstimate estimate_parallel(const Netlist& nl, EngineKind kind,
     scratch = std::max(scratch, res_words + 2 + 3 * distinct);
   }
   c.arena_words += scratch;
-  return c;
+  return with_peak_bytes(nl, c, W);
 }
-
-}  // namespace
 
 BudgetExceeded::BudgetExceeded(const CompileCostEstimate& cost,
                                const CompileBudget& budget, const char* limit,
@@ -231,7 +277,6 @@ CompileCostEstimate measure_compile_cost(const Program& p, EngineKind kind,
 
 CompileCostEstimate estimate_compile_cost(const Netlist& nl, EngineKind kind,
                                           int word_bits) {
-  CompileCostEstimate c;
   switch (kind) {
     case EngineKind::Event2:
     case EngineKind::Event3:
@@ -239,37 +284,41 @@ CompileCostEstimate estimate_compile_cost(const Netlist& nl, EngineKind kind,
       // bookkeeping appears as footprint.
       return {kind, 0, 0, (nl.net_count() + nl.gate_count()) * 64};
     case EngineKind::ZeroDelayLcc:
-      c = estimate_lcc(nl);
-      break;
+      return lcc_cost(nl, word_bits);
     case EngineKind::PCSet:
-      c = estimate_pcset(nl);
-      break;
+      return pcset_cost(nl, analyse_pcset(nl, nl.primary_outputs()), word_bits);
     case EngineKind::Parallel:
     case EngineKind::ParallelTrimmed:
     case EngineKind::ParallelPathTracing:
     case EngineKind::ParallelCycleBreaking:
     case EngineKind::ParallelCombined:
-      c = estimate_parallel(nl, kind, word_bits);
-      break;
-    case EngineKind::Native:
-      // The native engine's arena/code cost is its ParallelCombined base
-      // program; the external compiler's memory is not modelled.
-      c = estimate_parallel(nl, EngineKind::ParallelCombined, word_bits);
-      break;
+    case EngineKind::Native: {
+      // Native's arena/code cost is its ParallelCombined base program; the
+      // external compiler's memory is not modelled.
+      const bool trimming = kind == EngineKind::ParallelTrimmed ||
+                            kind == EngineKind::ParallelCombined ||
+                            kind == EngineKind::Native;
+      return parallel_cost(nl, kind, analyse_parallel(nl, kind, trimming, word_bits));
+    }
   }
-  c.kind = kind;
-  // arena_init: one word per constant net (exact for LCC and PC-set).
-  const auto constants = static_cast<std::size_t>(std::count_if(
-      nl.gates().begin(), nl.gates().end(), [](const Gate& g) { return is_constant(g.type); }));
-  c.peak_bytes = peak_bytes_for(kind, c.arena_words, c.ops, constants, word_bits,
-                                nl.net_count());
-  return c;
+  return {kind, 0, 0, 0};
 }
 
 void CompileGuard::enforce(const CompileCostEstimate& cost, bool predicted) const {
   if (const char* limit = budget_violation(budget, cost)) {
     throw BudgetExceeded(cost, budget, limit, predicted);
   }
+}
+
+void CompileGuard::accept(const Program& p, EngineKind kind,
+                          std::size_t net_count) const {
+  enforce(measure_compile_cost(p, kind, net_count), /*predicted=*/false);
+  if (metrics == nullptr) return;
+  metrics->counter("compile.programs").add(1);
+  metrics->counter("compile.ops").add(p.ops.size());
+  metrics->counter("compile.arena_words").add(p.arena_words);
+  metrics->counter("compile.arena_init_words").add(p.arena_init.size());
+  metrics->counter("compile.input_words").add(p.input_words);
 }
 
 void CompileGuard::check_cancel(const char* phase) const {

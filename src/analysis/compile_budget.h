@@ -4,19 +4,24 @@
 // of the netlist: the parallel technique allocates a (depth+1)-bit field per
 // net, the PC-set method one variable per (net, PC-time) pair. Deep or
 // heavily reconvergent circuits can therefore blow up arena size and code
-// size with no warning. `estimate_compile_cost` predicts arena words, op
-// count and peak bytes for every EngineKind from levelization and PC-set
-// statistics alone — before any Program is materialized — and a
-// `CompileBudget` turns the prediction (and the actual emission) into a
-// hard limit enforced by the compilers via `BudgetExceeded`. The engine
-// fallback chain (core/simulator.h, make_simulator_with_fallback) uses the
-// same machinery to degrade gracefully instead of OOM-ing.
+// size with no warning. The cost model is the analysis a compiler runs
+// before it emits (analyse_parallel / analyse_pcset) plus a count over it
+// (parallel_cost / pcset_cost): arena words, op count and peak bytes before
+// any Program is materialized. A guarded compile analyses once, enforces
+// the count against its `CompileBudget`, emits from the same analysis and
+// checks the emitted program (`BudgetExceeded` either way);
+// `estimate_compile_cost` runs the same analysis and count standalone. The
+// engine fallback chain (core/simulator.h, make_simulator_with_fallback)
+// catches BudgetExceeded to degrade gracefully instead of OOM-ing.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "analysis/trimming.h"
 #include "core/engine_kind.h"
 #include "netlist/diagnostics.h"
 #include "netlist/netlist.h"
@@ -73,13 +78,14 @@ class BudgetExceeded : public std::runtime_error {
   bool predicted_;
 };
 
-/// Predict the compile cost of `kind` over `nl` from levelization, alignment
-/// and PC-set statistics alone; no Program is materialized. For the
-/// compiled engines the prediction tracks the emitted program within a
-/// small factor (asserted to be within 2x on the ISCAS-85 profiles by
-/// tests/compile_budget_test.cpp); the interpreted event engines have no
+/// Predict the compile cost of `kind` over `nl` from the analysis its
+/// compiler runs (levelization, alignment, PC-sets) and the same count the
+/// guarded compiler enforces; no Program is materialized. PC-set and LCC
+/// predictions are exact; the parallel variants' track the emitted program
+/// within a small factor (asserted to be within 2x on the ISCAS-85 profiles
+/// by tests/compile_budget_test.cpp); the interpreted event engines have no
 /// compiled program and report only their interpreter footprint in
-/// peak_bytes.
+/// peak_bytes. PC-set is predicted for the primary outputs as monitored set.
 [[nodiscard]] CompileCostEstimate estimate_compile_cost(const Netlist& nl,
                                                         EngineKind kind,
                                                         int word_bits = 32);
@@ -99,8 +105,9 @@ class MetricsRegistry;
 /// through the guarded compiler entry points. With `metrics` set the
 /// compilers trace every phase (compile.levelize / .pcset / .alignment /
 /// .trimming / .emit spans) and record the emitted-program shape counters
-/// (DESIGN.md §5e); engines built through the Simulator facade adopt the
-/// same registry for their runtime counters.
+/// (DESIGN.md §5e) of every program the budget accepts; engines built
+/// through the Simulator facade adopt the same registry for their runtime
+/// counters.
 struct CompileGuard {
   CompileBudget budget{};
   Diagnostics* diag = nullptr;
@@ -113,9 +120,47 @@ struct CompileGuard {
   /// Throws BudgetExceeded when `cost` crosses a limit.
   void enforce(const CompileCostEstimate& cost, bool predicted) const;
 
+  /// Throws BudgetExceeded when the emitted `p` crosses a limit; otherwise
+  /// records its shape counters (compile.programs, .ops, .arena_words,
+  /// .arena_init_words, .input_words) into `metrics`, so a program the
+  /// budget rejects is never on the books.
+  void accept(const Program& p, EngineKind kind, std::size_t net_count) const;
+
   /// Throws Cancelled when the attached token has stopped; phase boundaries
   /// only (see `cancel`).
   void check_cancel(const char* phase) const;
 };
+
+/// What a parallel-technique compile analyses before it emits: levels, the
+/// kind's alignment plan, field widths, and the trim plan (word classes from
+/// the raw PC-sets when `trimming`, else all Computed). Traced and
+/// cancellable at compile.levelize / .alignment / .trimming (nested .pcset);
+/// throws NetlistError on an illegal alignment plan.
+struct ParallelAnalysis {
+  Levelization lv;
+  AlignmentPlan plan;
+  std::vector<int> widths;
+  TrimPlan trim;
+};
+[[nodiscard]] ParallelAnalysis analyse_parallel(const Netlist& nl, EngineKind kind,
+                                                bool trimming, int word_bits,
+                                                const CompileGuard& guard = {});
+
+/// What a PC-set compile analyses before it emits: PC-sets with zeros
+/// inserted for every gate and for the PRINT gate over `monitored`; when any
+/// monitored net retains its previous value, every monitored net gets
+/// element 0 (the PRINT gate fires at time 0). Traced and cancellable at
+/// compile.levelize / compile.pcset.
+[[nodiscard]] PCSets analyse_pcset(const Netlist& nl, std::span<const NetId> monitored,
+                                   const CompileGuard& guard = {});
+
+/// The predicted cost counted over an analysis: what a guarded compile
+/// enforces before emitting, and what estimate_compile_cost returns.
+/// `kind` is a parallel variant or Native (its ParallelCombined base).
+[[nodiscard]] CompileCostEstimate parallel_cost(const Netlist& nl, EngineKind kind,
+                                                const ParallelAnalysis& a);
+/// Exact for the program compile_pcset emits from `pc`.
+[[nodiscard]] CompileCostEstimate pcset_cost(const Netlist& nl, const PCSets& pc,
+                                             int word_bits);
 
 }  // namespace udsim

@@ -23,11 +23,4 @@ enum class EngineKind {
 
 [[nodiscard]] std::string_view engine_name(EngineKind k) noexcept;
 
-/// True for the engines that materialize a straight-line compiled Program
-/// (and therefore have a predictable compile cost); false for the
-/// interpreted event-driven engines.
-[[nodiscard]] constexpr bool is_compiled_engine(EngineKind k) noexcept {
-  return k != EngineKind::Event2 && k != EngineKind::Event3;
-}
-
 }  // namespace udsim

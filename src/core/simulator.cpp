@@ -269,14 +269,22 @@ std::unique_ptr<Simulator> make_ir_adapter(const Netlist& nl, EngineKind kind,
 
 /// EngineKind::Native: the ParallelCombined engine at `Word`, its passes
 /// run by the module compiled from its program (DESIGN.md §5h). Throws
-/// NativeError when any pipeline stage fails.
+/// NativeError when any pipeline stage fails, and BudgetExceeded naming
+/// Native when the base program misses the budget, before any C is emitted.
 template <class Word>
 std::unique_ptr<Simulator> make_native(const Netlist& nl, const CompileGuard* guard,
                                        const NativeOptions& opts) {
   using Adapter = EngineAdapter<ParallelSim<Word>>;
   const ParallelOptions po = parallel_options(EngineKind::Native);
-  auto sim = guard ? std::make_unique<Adapter>(EngineKind::Native, nl, po, *guard)
-                   : std::make_unique<Adapter>(EngineKind::Native, nl, po);
+  std::unique_ptr<Adapter> sim;
+  try {
+    sim = guard ? std::make_unique<Adapter>(EngineKind::Native, nl, po, *guard)
+                : std::make_unique<Adapter>(EngineKind::Native, nl, po);
+  } catch (const BudgetExceeded& e) {
+    CompileCostEstimate cost = e.cost();
+    cost.kind = EngineKind::Native;
+    throw BudgetExceeded(cost, e.budget(), e.limit().c_str(), e.predicted());
+  }
   std::unique_ptr<NativeModule> module = std::make_unique<NativeModule>(
       *sim->compiled_program(), "parallel-combined", opts,
       guard ? guard->metrics : nullptr);
@@ -430,25 +438,6 @@ std::unique_ptr<Simulator> make_simulator_with_fallback(const Netlist& nl,
             "it cannot run " + std::to_string(width.word_bits) + "-bit lanes");
       }
       continue;
-    }
-    // Cheap pre-check: reject on the structural prediction before paying
-    // for the compile. The guarded compile re-checks the prediction and
-    // the emitted program, so a too-optimistic prediction still cannot
-    // smuggle an over-budget program through.
-    if (is_compiled_engine(kind) && !policy.budget.unlimited()) {
-      const CompileCostEstimate est =
-          estimate_compile_cost(nl, kind, width.word_bits);
-      if (const char* limit = budget_violation(policy.budget, est)) {
-        if (diag) {
-          diag->report(DiagCode::BudgetDowngrade, DiagSeverity::Warning,
-                       std::string(engine_name(kind)),
-                       "predicted " + std::string(limit) + " over budget (" +
-                           cost_summary(est) + "); trying next engine");
-        }
-        ++downgrades;
-        if (last) throw BudgetExceeded(est, policy.budget, limit, true);
-        continue;
-      }
     }
     // Circuit-breaker gate (DESIGN.md §5k): when the toolchain has been
     // failing consecutively, skip the native attempt *before* emitting C or

@@ -225,12 +225,12 @@ struct SimPolicy {
   CircuitBreaker* native_breaker = nullptr;
 };
 
-/// Walk `policy.chain`, skipping engines whose compile cost exceeds
-/// `policy.budget`, and return the first engine that fits. Every downgrade
-/// is recorded in `diag` (DiagCode::BudgetDowngrade, with the predicted
-/// cost and the limit crossed) and the winner as DiagCode::EngineSelected,
-/// so callers can see which engine ran and why. Throws BudgetExceeded when
-/// no engine in the chain fits.
+/// Walk `policy.chain`, compiling each engine under `policy.budget` and
+/// skipping those whose predicted or emitted cost exceeds it, and return the
+/// first engine that fits. Every downgrade is recorded in `diag`
+/// (DiagCode::BudgetDowngrade, with the cost and the limit crossed) and the
+/// winner as DiagCode::EngineSelected, so callers can see which engine ran
+/// and why. Throws BudgetExceeded when no engine in the chain fits.
 [[nodiscard]] std::unique_ptr<Simulator> make_simulator_with_fallback(
     const Netlist& nl, const SimPolicy& policy = {}, Diagnostics* diag = nullptr);
 

@@ -75,17 +75,7 @@ LccCompiled compile_lcc(const Netlist& nl, int word_bits,
       out.def_end[n] = last_write[out.net_var[n]];
     }
   }
-  if (reg) {
-    reg->counter("compile.programs").add(1);
-    reg->counter("compile.ops").add(p.ops.size());
-    reg->counter("compile.arena_words").add(p.arena_words);
-    reg->counter("compile.arena_init_words").add(p.arena_init.size());
-    reg->counter("compile.input_words").add(p.input_words);
-  }
-  if (!guard.budget.unlimited()) {
-    guard.enforce(measure_compile_cost(p, EngineKind::ZeroDelayLcc, nl.net_count()),
-                  /*predicted=*/false);
-  }
+  guard.accept(p, EngineKind::ZeroDelayLcc, nl.net_count());
   return out;
 }
 

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <unordered_map>
 
-#include "analysis/pcset.h"
 #include "ir/emit_util.h"
 #include "ir/schedule.h"
 #include "obs/metrics.h"
@@ -445,54 +444,21 @@ ParallelCompiled compile_parallel(const Netlist& nl, const ParallelOptions& opti
     }
   }
   const EngineKind kind = parallel_engine_kind(options);
-  if (!guard.budget.unlimited()) {
-    // Predicted from levelization/alignment/trim statistics alone, before
-    // any op is emitted — the whole point: reject a blow-up while its cost
-    // is still a prediction, not an allocation.
-    guard.enforce(estimate_compile_cost(nl, kind, options.word_bits),
-                  /*predicted=*/true);
-  }
   MetricsRegistry* const reg = guard.metrics;
   TraceSpan total_span(reg, "compile.total");
+  ParallelAnalysis analysis =
+      analyse_parallel(nl, kind, options.trimming, options.word_bits, guard);
+  if (!guard.budget.unlimited()) {
+    // Before any op is emitted: reject a blow-up while its cost is still a
+    // prediction, not an allocation.
+    guard.enforce(parallel_cost(nl, kind, analysis), /*predicted=*/true);
+  }
   ParallelCompiled out;
   out.options = options;
-  {
-    guard.check_cancel("compile.levelize");
-    TraceSpan span(reg, "compile.levelize");
-    out.lv = levelize(nl);
-  }
-  {
-    guard.check_cancel("compile.alignment");
-    TraceSpan span(reg, "compile.alignment");
-    switch (options.shift_elim) {
-      case ShiftElim::None:
-        out.plan = align_unoptimized(nl, out.lv);
-        break;
-      case ShiftElim::PathTracing:
-        out.plan = align_path_tracing(nl, out.lv);
-        break;
-      case ShiftElim::CycleBreaking:
-        out.plan = align_cycle_breaking(nl, out.lv);
-        break;
-    }
-    check_alignment_plan(nl, out.lv, out.plan);
-  }
-  const bool uniform = options.shift_elim == ShiftElim::None;
-  {
-    guard.check_cancel("compile.trimming");
-    TraceSpan span(reg, "compile.trimming");
-    out.widths = field_widths(nl, out.lv, out.plan, uniform);
-    if (options.trimming) {
-      const PCSets pc = [&] {
-        TraceSpan pc_span(reg, "compile.pcset");
-        return compute_pc_sets(nl, out.lv);
-      }();
-      out.trim = compute_trim_plan(nl, out.lv, pc, out.plan, out.widths,
-                                   options.word_bits);
-    } else {
-      out.trim = full_trim_plan(nl, out.widths, options.word_bits);
-    }
-  }
+  out.lv = std::move(analysis.lv);
+  out.plan = std::move(analysis.plan);
+  out.widths = std::move(analysis.widths);
+  out.trim = std::move(analysis.trim);
   out.program.word_bits = options.word_bits;
 
   {
@@ -502,12 +468,8 @@ ParallelCompiled compile_parallel(const Netlist& nl, const ParallelOptions& opti
     emitter.run();
     schedule_runs(out.program);
   }
+  guard.accept(out.program, kind, nl.net_count());
   if (reg) {
-    reg->counter("compile.programs").add(1);
-    reg->counter("compile.ops").add(out.program.ops.size());
-    reg->counter("compile.arena_words").add(out.program.arena_words);
-    reg->counter("compile.arena_init_words").add(out.program.arena_init.size());
-    reg->counter("compile.input_words").add(out.program.input_words);
     reg->counter("compile.depth").set_max(static_cast<std::uint64_t>(out.lv.depth));
     reg->counter("compile.gate_eval_ops").add(out.stats.gate_eval_ops);
     reg->counter("compile.shift_ops").add(out.stats.shift_ops);
@@ -523,10 +485,6 @@ ParallelCompiled compile_parallel(const Netlist& nl, const ParallelOptions& opti
         std::to_string(out.trim.gap_words) +
             " representative-free word(s) filled by broadcasting the "
             "preceding word's high bit instead of gate evaluation");
-  }
-  if (!guard.budget.unlimited()) {
-    guard.enforce(measure_compile_cost(out.program, kind, nl.net_count()),
-                  /*predicted=*/false);
   }
   return out;
 }

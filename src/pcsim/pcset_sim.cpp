@@ -49,13 +49,6 @@ PCSetCompiled compile_pcset(const Netlist& nl, std::span<const NetId> monitored,
 PCSetCompiled compile_pcset(const Netlist& nl, std::span<const NetId> monitored,
                             int word_bits, const CompileGuard& guard) {
   nl.validate();
-  if (!guard.budget.unlimited()) {
-    // Predicted from PC-set statistics alone, before any op is emitted.
-    // (The prediction assumes the default monitored set — the primary
-    // outputs — which bounds any smaller monitored set's print routine.)
-    guard.enforce(estimate_compile_cost(nl, EngineKind::PCSet, word_bits),
-                  /*predicted=*/true);
-  }
   for (const Net& n : nl.nets()) {
     if (n.drivers.size() > 1) {
       throw NetlistError("compile_pcset requires lowered wired nets (net '" +
@@ -70,26 +63,13 @@ PCSetCompiled compile_pcset(const Netlist& nl, std::span<const NetId> monitored,
     out.monitored = nl.primary_outputs();
   }
 
-  const Levelization lv = [&] {
-    guard.check_cancel("compile.levelize");
-    TraceSpan span(reg, "compile.levelize");
-    return levelize(nl);
-  }();
-  PCSets pc = [&] {
-    guard.check_cancel("compile.pcset");
-    TraceSpan span(reg, "compile.pcset");
-    return compute_pc_sets(nl, lv);
-  }();
+  const PCSets pc = analyse_pcset(nl, out.monitored, guard);
+  if (!guard.budget.unlimited()) {
+    // Exact, from the zero-inserted sets the emission below reads.
+    guard.enforce(pcset_cost(nl, pc, word_bits), /*predicted=*/true);
+  }
   guard.check_cancel("compile.emit");
   TraceSpan emit_span_outer(reg, "compile.emit");
-  insert_zeros(nl, lv, out.monitored, pc);
-  // If any monitored net retains its previous value (element 0), the PRINT
-  // gate fires at time 0, so *every* monitored net must be readable then.
-  bool print_at_zero = false;
-  for (NetId m : out.monitored) print_at_zero |= pc.net_pc[m.value].test(0);
-  if (print_at_zero) {
-    for (NetId m : out.monitored) pc.net_pc[m.value].set(0);
-  }
 
   Program& p = out.program;
   p.word_bits = word_bits;
@@ -164,7 +144,7 @@ PCSetCompiled compile_pcset(const Netlist& nl, std::span<const NetId> monitored,
   schedule_runs(p);
 
   // ---- output routine: the PRINT pseudo-gate -------------------------------
-  DynBitset print_set(static_cast<std::size_t>(lv.depth) + 1);
+  DynBitset print_set(static_cast<std::size_t>(pc.depth) + 1);
   for (NetId m : out.monitored) print_set.or_with(pc.net_pc[m.value]);
   for (int t : print_set.to_vector()) {
     out.print_times.push_back(t);
@@ -177,19 +157,11 @@ PCSetCompiled compile_pcset(const Netlist& nl, std::span<const NetId> monitored,
     }
     out.print_vars.push_back(std::move(row));
   }
+  guard.accept(p, EngineKind::PCSet, nl.net_count());
   if (reg) {
-    reg->counter("compile.programs").add(1);
-    reg->counter("compile.ops").add(p.ops.size());
-    reg->counter("compile.arena_words").add(p.arena_words);
-    reg->counter("compile.arena_init_words").add(p.arena_init.size());
-    reg->counter("compile.input_words").add(p.input_words);
-    reg->counter("compile.depth").set_max(static_cast<std::uint64_t>(lv.depth));
+    reg->counter("compile.depth").set_max(static_cast<std::uint64_t>(pc.depth));
     reg->counter("compile.pcset_variables").add(p.arena_words);
     reg->counter("compile.print_times").add(out.print_times.size());
-  }
-  if (!guard.budget.unlimited()) {
-    guard.enforce(measure_compile_cost(p, EngineKind::PCSet, nl.net_count()),
-                  /*predicted=*/false);
   }
   return out;
 }

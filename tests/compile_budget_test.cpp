@@ -218,35 +218,87 @@ TEST(Budget, ViolationNamesTheFirstLimitCrossed) {
   EXPECT_EQ(budget_violation(b, {EngineKind::PCSet, 10, 10, 10}), nullptr);
 }
 
-// Every guarded compiler rejects a tiny budget with a *predicted* (pre-
-// emission) BudgetExceeded that carries the engine, the cost, and the limit.
-TEST(Budget, EachCompilerThrowsPredictedBudgetExceeded) {
-  const Netlist nl = test::fig4_network();
-  const CompileGuard guard{CompileBudget{.max_arena_words = 1}, nullptr};
+/// Guarded compile of `kind` at `word_bits`; returns the emitted cost.
+CompileCostEstimate guarded_cost(const Netlist& nl, EngineKind kind, int word_bits,
+                                 const CompileGuard& guard) {
+  switch (kind) {
+    case EngineKind::ZeroDelayLcc:
+      return measure_compile_cost(compile_lcc(nl, word_bits, guard).program, kind,
+                                  nl.net_count());
+    case EngineKind::PCSet:
+      return measure_compile_cost(compile_pcset(nl, {}, word_bits, guard).program,
+                                  kind, nl.net_count());
+    default: {
+      ParallelOptions o = options_for(kind);
+      o.word_bits = word_bits;
+      return measure_compile_cost(compile_parallel(nl, o, guard).program, kind,
+                                  nl.net_count());
+    }
+  }
+}
 
-  const auto expect_throw = [&](auto&& compile, EngineKind kind) {
+// Every guarded compiler rejects a tiny budget with a *predicted* (pre-
+// emission) BudgetExceeded that carries the engine, the cost, and the limit;
+// the cost it predicts from its own analysis is the standalone estimate, in
+// all three fields, for every compiled kind at 32 and 256 bits.
+TEST(Budget, EachCompilerThrowsPredictedBudgetExceeded) {
+  const CompileGuard guard{CompileBudget{.max_arena_words = 1}, nullptr};
+  const auto expect_throw = [&](const Netlist& nl, EngineKind kind, int word_bits) {
+    const std::string where =
+        nl.name() + " " + std::string(engine_name(kind)) + " w" + std::to_string(word_bits);
     try {
-      compile();
-      FAIL() << "expected BudgetExceeded from " << engine_name(kind);
+      (void)guarded_cost(nl, kind, word_bits, guard);
+      FAIL() << "expected BudgetExceeded from " << where;
     } catch (const BudgetExceeded& e) {
-      EXPECT_EQ(e.kind(), kind);
-      EXPECT_TRUE(e.predicted());
-      EXPECT_EQ(e.limit(), "arena words");
-      EXPECT_GT(e.cost().arena_words, e.budget().max_arena_words);
+      EXPECT_EQ(e.kind(), kind) << where;
+      EXPECT_TRUE(e.predicted()) << where;
+      EXPECT_EQ(e.limit(), "arena words") << where;
+      EXPECT_GT(e.cost().arena_words, e.budget().max_arena_words) << where;
       EXPECT_NE(std::string(e.what()).find("predicted"), std::string::npos);
       EXPECT_NE(std::string(e.what()).find("arena words"), std::string::npos);
+      const CompileCostEstimate est = estimate_compile_cost(nl, kind, word_bits);
+      EXPECT_EQ(e.cost().arena_words, est.arena_words) << where;
+      EXPECT_EQ(e.cost().ops, est.ops) << where;
+      EXPECT_EQ(e.cost().peak_bytes, est.peak_bytes) << where;
     }
   };
-  expect_throw([&] { (void)compile_lcc(nl, 32, guard); },
-               EngineKind::ZeroDelayLcc);
-  expect_throw([&] { (void)compile_pcset(nl, {}, 32, guard); },
-               EngineKind::PCSet);
-  expect_throw(
-      [&] {
-        (void)compile_parallel(nl, options_for(EngineKind::ParallelCombined),
-                               guard);
-      },
-      EngineKind::ParallelCombined);
+  std::vector<Netlist> circuits;
+  circuits.push_back(test::fig4_network());
+  for (const char* name : {"c432", "c499", "c880", "c1355", "c1908", "c2670",
+                           "c3540", "c5315", "c6288", "c7552"}) {
+    circuits.push_back(make_iscas85_like(name));
+  }
+  circuits.push_back(array_multiplier(32, 32));
+  for (const Netlist& nl : circuits) {
+    for (EngineKind kind : kCompiledKinds) {
+      for (const int word_bits : {32, 256}) expect_throw(nl, kind, word_bits);
+    }
+  }
+}
+
+// A PC-set compile is budgeted on the program it emits for its own monitored
+// set: a budget exactly at the emitted cost of a one-output compile admits
+// it.
+TEST(Budget, PcsetMonitoredSubsetBudgetedOnItsOwnProgram) {
+  for (const char* name : {"c432", "c880", "c6288"}) {
+    const Netlist nl = make_iscas85_like(name);
+    const std::vector<NetId> monitored{nl.primary_outputs().front()};
+    const PCSetCompiled free = compile_pcset(nl, monitored, 32);
+    const CompileCostEstimate act =
+        measure_compile_cost(free.program, EngineKind::PCSet, nl.net_count());
+    const CompileGuard guard{CompileBudget{.max_arena_words = act.arena_words,
+                                           .max_ops = act.ops,
+                                           .max_peak_bytes = act.peak_bytes},
+                             nullptr};
+    try {
+      const PCSetCompiled g = compile_pcset(nl, monitored, 32, guard);
+      EXPECT_EQ(g.program.ops.size(), free.program.ops.size()) << name;
+      EXPECT_EQ(g.program.arena_words, free.program.arena_words) << name;
+      EXPECT_EQ(g.print_times, free.print_times) << name;
+    } catch (const BudgetExceeded& e) {
+      ADD_FAILURE() << name << ": " << e.what();
+    }
+  }
 }
 
 // A budget exactly at the emitted cost passes both the prediction (which

@@ -8,6 +8,7 @@
 #include "gen/random_dag.h"
 #include "harness/vectors.h"
 #include "oracle/oracle.h"
+#include "resilience/circuit_breaker.h"
 #include "test_util.h"
 
 namespace udsim {
@@ -166,6 +167,94 @@ TEST(FallbackChain, NativeFailureFallsBackToIrWithOrderedDiagnostics) {
   EXPECT_EQ(snap.at("exec.ops"), snap.at("compile.ops") * kPasses);
 
   expect_matches_oracle(*sim, nl, 8, 0xabcdull);
+}
+
+[[nodiscard]] std::uint64_t counter_or_zero(const MetricsRegistry& reg,
+                                            const std::string& name) {
+  const auto snap = reg.snapshot();
+  const auto it = snap.find(name);
+  return it == snap.end() ? 0 : it->second;
+}
+
+// A program the budget rejects after emission is never on the books: the
+// first entry's prediction (3,080 ops) fits, its emitted program (3,114
+// ops) does not, and the registry then describes only the LCC program the
+// chain selects, so exec.ops == compile.ops × passes holds.
+TEST(FallbackChain, EmittedBudgetMissLeavesNoCompileCounters) {
+  RandomDagParams params;
+  params.name = "emitted_miss";
+  params.inputs = 12;
+  params.outputs = 8;
+  params.gates = 600;
+  params.depth = 16;
+  params.reach = 6.0;
+  params.seed = 2;
+  const Netlist nl = random_dag(params);
+  SimPolicy policy;
+  policy.chain = {EngineKind::ParallelCycleBreaking, EngineKind::ZeroDelayLcc};
+  policy.budget.max_ops = 3100;
+  MetricsRegistry reg;
+  policy.metrics = &reg;
+  Diagnostics diag;
+  const auto sim = make_simulator_with_fallback(nl, policy, &diag);
+
+  EXPECT_EQ(sim->kind(), EngineKind::ZeroDelayLcc);
+  const Diagnostic* down = diag.first(DiagCode::BudgetDowngrade);
+  ASSERT_NE(down, nullptr);
+  EXPECT_EQ(down->subject, engine_name(EngineKind::ParallelCycleBreaking));
+  EXPECT_NE(down->message.find("emitted ops"), std::string::npos) << down->message;
+
+  constexpr std::uint64_t kPasses = 3;
+  std::vector<Bit> row(nl.primary_inputs().size(), 0);
+  for (std::uint64_t i = 0; i < kPasses; ++i) sim->step(row);
+  EXPECT_EQ(counter_or_zero(reg, "compile.programs"), 1u);
+  ASSERT_NE(counter_or_zero(reg, "compile.ops"), 0u);
+  EXPECT_EQ(counter_or_zero(reg, "exec.ops"),
+            counter_or_zero(reg, "compile.ops") * kPasses);
+}
+
+// Native's budget miss happens in its base ParallelCombined compile, before
+// any C is emitted: no toolchain runs (the compiler path does not exist, so
+// an attempt would show as a NativeFallback), the breaker records no
+// failure, and the miss is reported — and thrown at the chain's end — as
+// Native's.
+TEST(FallbackChain, NativeBudgetMissSpawnsNoToolchain) {
+  const Netlist nl = deep_reconvergent();
+  SimPolicy policy = native_sim_policy();
+  policy.native.compiler = "/nonexistent/udsim-no-such-cc";
+  policy.budget.max_arena_words =
+      estimate_compile_cost(nl, EngineKind::ZeroDelayLcc).arena_words;
+  MetricsRegistry reg;
+  policy.metrics = &reg;
+  CircuitBreaker breaker(CircuitBreakerConfig{.name = "cc"}, &reg);
+  policy.native_breaker = &breaker;
+  Diagnostics diag;
+  const auto sim = make_simulator_with_fallback(nl, policy, &diag);
+
+  EXPECT_EQ(sim->kind(), EngineKind::ZeroDelayLcc);
+  const Diagnostic* down = diag.first(DiagCode::BudgetDowngrade);
+  ASSERT_NE(down, nullptr);
+  EXPECT_EQ(down->subject, engine_name(EngineKind::Native));
+  EXPECT_NE(down->message.find("predicted arena words"), std::string::npos)
+      << down->message;
+  EXPECT_FALSE(diag.has(DiagCode::NativeFallback));
+  EXPECT_EQ(counter_or_zero(reg, "native.builds"), 0u);
+  EXPECT_EQ(counter_or_zero(reg, "native.fallback"), 0u);
+  EXPECT_EQ(breaker.state(), BreakerState::Closed);
+  EXPECT_EQ(breaker.consecutive_failures(), 0u);
+  EXPECT_EQ(counter_or_zero(reg, "breaker.cc.failures"), 0u);
+
+  policy.chain = {EngineKind::Native};
+  try {
+    auto s = make_simulator_with_fallback(nl, policy, &diag);
+    FAIL() << "expected BudgetExceeded";
+  } catch (const BudgetExceeded& e) {
+    EXPECT_EQ(e.kind(), EngineKind::Native);
+    EXPECT_TRUE(e.predicted());
+    EXPECT_EQ(e.limit(), "arena words");
+  }
+  EXPECT_EQ(counter_or_zero(reg, "native.builds"), 0u);
+  EXPECT_EQ(breaker.consecutive_failures(), 0u);
 }
 
 // Diagnostics are optional: the chain works with a null sink.
