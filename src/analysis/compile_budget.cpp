@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "ir/program.h"
+#include "ir/schedule.h"
 #include "netlist/logic.h"
 #include "obs/metrics.h"
 
@@ -316,6 +317,7 @@ void CompileGuard::accept(const Program& p, EngineKind kind,
   if (metrics == nullptr) return;
   metrics->counter("compile.programs").add(1);
   metrics->counter("compile.ops").add(p.ops.size());
+  metrics->counter("compile.runs").add(opcode_runs(p));
   metrics->counter("compile.arena_words").add(p.arena_words);
   metrics->counter("compile.arena_init_words").add(p.arena_init.size());
   metrics->counter("compile.input_words").add(p.input_words);

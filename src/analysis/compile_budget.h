@@ -121,9 +121,9 @@ struct CompileGuard {
   void enforce(const CompileCostEstimate& cost, bool predicted) const;
 
   /// Throws BudgetExceeded when the emitted `p` crosses a limit; otherwise
-  /// records its shape counters (compile.programs, .ops, .arena_words,
-  /// .arena_init_words, .input_words) into `metrics`, so a program the
-  /// budget rejects is never on the books.
+  /// records its shape counters (compile.programs, .ops, .runs,
+  /// .arena_words, .arena_init_words, .input_words) into `metrics`, so a
+  /// program the budget rejects is never on the books.
   void accept(const Program& p, EngineKind kind, std::size_t net_count) const;
 
   /// Throws Cancelled when the attached token has stopped; phase boundaries

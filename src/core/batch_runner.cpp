@@ -152,7 +152,7 @@ BatchRunner::BatchRunner(const Program& program, std::vector<ArenaProbe> probes,
     lanes_ = static_cast<unsigned>(program_.word_bits);
   }
   exec_ = ExecCounters::attach(options_.metrics, program_, options_.extra_pass_cost);
-  if (threads_ > 1) pool_.emplace(threads_);
+  if (threads_ > 1) pool_.emplace(threads_ - 1);
 }
 
 std::size_t BatchRunner::shard_count(std::size_t num_vectors) const noexcept {

@@ -60,7 +60,7 @@ class Diagnostics;
 class NativeModule;
 
 struct BatchOptions {
-  unsigned num_threads = 0;    ///< worker threads; 0 = all hardware threads
+  unsigned num_threads = 0;    ///< threads incl. the caller; 0 = all hardware threads
   std::size_t min_chunk = 16;  ///< smallest shard worth a pool dispatch
   /// Optional observability sink (DESIGN.md §5e). Payload passes bump the
   /// exact execution counters (sim.vectors, exec.*) — identical for every
@@ -193,9 +193,10 @@ class BatchRunner {
   const Program& program_;
   std::vector<ArenaProbe> probes_;
   BatchOptions options_;
-  unsigned threads_;  ///< resolved worker count (BatchOptions::num_threads)
-  /// Workers for multi-shard runs; absent at one thread, where the single
-  /// shard runs on the calling thread and no idle worker is spawned.
+  unsigned threads_;  ///< resolved thread count (BatchOptions::num_threads)
+  /// threads_ - 1 workers for multi-shard runs: parallel_for runs shard 0
+  /// on the calling thread. Absent at one thread, where the single shard
+  /// runs on the calling thread and no idle worker is spawned.
   std::optional<ThreadPool> pool_;
   ExecCounters exec_;  ///< payload-pass counters (disengaged without metrics)
   unsigned lanes_ = 1;  ///< vectors per pass (see lanes_per_pass)

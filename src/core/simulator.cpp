@@ -222,8 +222,10 @@ ParallelOptions parallel_options(EngineKind kind) {
     case EngineKind::ParallelCycleBreaking:
       o.shift_elim = ShiftElim::CycleBreaking;
       break;
-    case EngineKind::ParallelCombined:
     case EngineKind::Native:  // the paper's best combination, as machine code
+      o.rename_scratch = false;  // near emission order suits the C compiler
+      [[fallthrough]];
+    case EngineKind::ParallelCombined:
       o.trimming = true;
       o.shift_elim = ShiftElim::PathTracing;
       break;

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <exception>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -80,15 +81,12 @@ void ThreadPool::worker_loop() {
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& body) {
   if (n == 0) return;
-  {
-    std::lock_guard lock(mu_);
-    if (stop_) {
+  if (n == 1) {
+    if (stopped()) {
       throw std::runtime_error(
           "ThreadPool::parallel_for: pool is stopped; the loop would never run");
     }
-  }
-  if (threads() <= 1 || n == 1) {
-    for (std::size_t i = 0; i < n; ++i) body(i);
+    body(0);
     return;
   }
   struct Barrier {
@@ -100,41 +98,37 @@ void ThreadPool::parallel_for(std::size_t n,
   };
   auto barrier = std::make_shared<Barrier>();
   barrier->remaining = n;
-  std::exception_ptr submit_error;
-  std::size_t submitted = 0;
-  for (std::size_t i = 0; i < n; ++i) {
+  // Fail-fast: once any body has thrown, indices not yet started are
+  // skipped (they still count toward the barrier).
+  const auto run = [barrier, &body](std::size_t i) {
     try {
-      submit([barrier, &body, i] {
-        try {
-          // Fail-fast: once any body has thrown, indices not yet started are
-          // skipped (they still count toward the barrier).
-          if (!barrier->failed.load(std::memory_order_acquire)) body(i);
-        } catch (...) {
-          barrier->failed.store(true, std::memory_order_release);
-          std::lock_guard lock(barrier->mu);
-          if (!barrier->error) barrier->error = std::current_exception();
-        }
-        std::lock_guard lock(barrier->mu);
-        if (--barrier->remaining == 0) barrier->done_cv.notify_all();
-      });
-      ++submitted;
+      if (!barrier->failed.load(std::memory_order_acquire)) body(i);
     } catch (...) {
-      // Pool shut down mid-loop. Tasks already queued still reference
-      // `body` and the barrier, so we must NOT leave this frame until they
-      // have drained: mark the run failed (unstarted tasks skip their
-      // body), settle the barrier for the never-submitted tail, and fall
-      // through to the normal wait below.
-      submit_error = std::current_exception();
       barrier->failed.store(true, std::memory_order_release);
       std::lock_guard lock(barrier->mu);
-      barrier->remaining -= n - submitted;
-      if (barrier->remaining == 0) barrier->done_cv.notify_all();
-      break;
+      if (!barrier->error) barrier->error = std::current_exception();
     }
+    std::lock_guard lock(barrier->mu);
+    if (--barrier->remaining == 0) barrier->done_cv.notify_all();
+  };
+  // Indices 1..n-1 join the queue all at once or not at all, so a stopped
+  // pool (or a failed allocation) leaves no task referring to this frame.
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(n - 1);
+  for (std::size_t i = 1; i < n; ++i) tasks.emplace_back([run, i] { run(i); });
+  {
+    std::lock_guard lock(mu_);
+    if (stop_) {
+      throw std::runtime_error(
+          "ThreadPool::parallel_for: pool is stopped; the loop would never run");
+    }
+    queue_.insert(queue_.end(), std::make_move_iterator(tasks.begin()),
+                  std::make_move_iterator(tasks.end()));
   }
+  work_cv_.notify_all();
+  run(0);
   std::unique_lock lock(barrier->mu);
   barrier->done_cv.wait(lock, [&] { return barrier->remaining == 0; });
-  if (submit_error) std::rethrow_exception(submit_error);
   if (barrier->error) std::rethrow_exception(barrier->error);
 }
 

@@ -1,10 +1,11 @@
 // Minimal fixed-size worker pool for the batch simulation layer.
 //
-// One queue, N workers, blocking parallel_for. Deliberately small: the batch
-// layer's unit of work is a whole vector-stream shard (thousands of executor
-// passes), so per-task overhead is irrelevant and work stealing would buy
-// nothing. `parallel_for` is a barrier — it returns only when every index
-// has been processed — and rethrows the first exception a body raised.
+// One queue, N workers, and a blocking parallel_for that runs its first
+// index on the caller. Deliberately small: the batch layer's unit of work
+// is a whole vector-stream shard (thousands of executor passes), so
+// per-task overhead is irrelevant and work stealing would buy nothing.
+// `parallel_for` is a barrier — it returns only when every index has been
+// processed — and rethrows the first exception a body raised.
 #pragma once
 
 #include <condition_variable>
@@ -65,17 +66,17 @@ class ThreadPool {
   /// lost-request failure mode the service layer must exclude.
   void submit(std::function<void()> task);
 
-  /// Run body(0) … body(n-1) across the pool and block until all complete.
-  /// Indices are claimed in order but may execute concurrently; with a
-  /// single worker (or n == 1) the loop runs inline on the calling thread,
-  /// giving an exact single-threaded execution for fallback paths.
+  /// Run body(0) … body(n-1) and block until all complete. Index 0 runs on
+  /// the calling thread and every other index on a worker, so a pool of
+  /// k workers runs k + 1 indices at once, and for n > 1 index 0 always
+  /// runs on a different thread from the rest. Indices are queued in order
+  /// but may execute concurrently; n == 1 runs inline.
   ///
   /// Fail-fast guarantee: after the first body throws, indices that have
   /// not yet started are skipped rather than executed; the call still
-  /// blocks until every submitted task has drained, then rethrows the
-  /// first exception. Bodies already running when the failure happens run
-  /// to completion (there is no preemption). The inline single-thread path
-  /// fail-fasts trivially by propagating the throw immediately.
+  /// blocks until every queued task has drained, then rethrows the first
+  /// exception. Bodies already running when the failure happens run to
+  /// completion (there is no preemption).
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
   /// std::thread::hardware_concurrency(), never less than 1.

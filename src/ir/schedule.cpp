@@ -5,6 +5,8 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace udsim {
@@ -48,13 +50,15 @@ class ReadySet {
 };
 static_assert(kWindow == 64 * 64);
 
-/// Per opcode: bit 0 when it reads arena word a, bit 1 when it reads b.
+constexpr std::uint8_t kReadsA = 1, kReadsB = 2, kReadsDst = 4;
+
+/// Per opcode: which of a, b and dst it reads as arena words.
 constexpr std::array<std::uint8_t, kOpCodes> kReadMask = [] {
   std::array<std::uint8_t, kOpCodes> m{};
   for (std::size_t c = 0; c < kOpCodes; ++c) {
     const OpReads r = arena_reads(Op{static_cast<OpCode>(c), 0, 0, 1, 2});
     for (int k = 0; k < r.count; ++k) {
-      if (r.word[k] != 0) m[c] |= static_cast<std::uint8_t>(r.word[k]);
+      m[c] |= r.word[k] == 0 ? kReadsDst : static_cast<std::uint8_t>(r.word[k]);
     }
   }
   return m;
@@ -201,8 +205,8 @@ class RunScheduler {
       if (prev != kNoOp) value_readers_[prev] = static_cast<std::uint16_t>(dst >> 16);
       // RAW through the reader lists; a read of dst saw the value this op
       // replaces and is ordered by the edge above.
-      if ((m & 1) && op.a != op.dst) add_reader(op.a, i);
-      if ((m & 2) && op.b != op.dst) add_reader(op.b, i);
+      if ((m & kReadsA) && op.a != op.dst) add_reader(op.a, i);
+      if ((m & kReadsB) && op.b != op.dst) add_reader(op.b, i);
       dst = (std::uint32_t{kNoReader} << 16) | i;
     }
     // The last value of each word keeps its reader list; then every word
@@ -215,8 +219,8 @@ class RunScheduler {
       const Op& op = buf_[i];
       const std::uint8_t m = kReadMask[index(op.code)];
       word_state_[op.dst] = kUntouched;
-      if (m & 1) word_state_[op.a] = kUntouched;
-      if (m & 2) word_state_[op.b] = kUntouched;
+      if (m & kReadsA) word_state_[op.a] = kUntouched;
+      if (m & kReadsB) word_state_[op.b] = kUntouched;
     }
   }
 
@@ -231,20 +235,129 @@ class RunScheduler {
   ReadySet all_;
 };
 
+/// Step 1 of schedule_runs(p, first_scratch): checks the scratch contract,
+/// then gives every plain write to a scratch word the next virtual word
+/// from first_scratch up. Returns the number of virtual words.
+std::uint32_t rename_scratch(Program& p, std::uint32_t first_scratch) {
+  const std::uint32_t scratch_words = p.arena_words - first_scratch;
+  for (const Program::InitWord& iw : p.arena_init) {
+    if (iw.index >= first_scratch) {
+      throw std::invalid_argument("schedule_runs: scratch word " +
+                                  std::to_string(iw.index) + " has an arena_init entry");
+    }
+  }
+  // written[w]: word w holds a value of this pass; words below
+  // first_scratch always count.
+  std::vector<std::uint8_t> written(p.arena_words, 1);
+  std::fill(written.begin() + first_scratch, written.end(), 0);
+  for (std::size_t i = 0; i < p.ops.size(); ++i) {
+    const Op& op = p.ops[i];
+    const std::uint8_t m = kReadMask[static_cast<std::size_t>(op.code)];
+    if (((m & kReadsA) && !written[op.a]) || ((m & kReadsB) && !written[op.b]) ||
+        ((m & kReadsDst) && !written[op.dst])) {
+      throw std::invalid_argument("schedule_runs: op " + std::to_string(i) +
+                                  " reads a scratch word before the pass writes it");
+    }
+    written[op.dst] = 1;
+  }
+  // current[w]: the virtual word holding scratch word first_scratch + w.
+  std::vector<std::uint32_t> current(scratch_words);
+  std::uint32_t values = 0;
+  for (Op& op : p.ops) {
+    const std::uint8_t m = kReadMask[static_cast<std::size_t>(op.code)];
+    if ((m & kReadsA) && op.a >= first_scratch) op.a = current[op.a - first_scratch];
+    if ((m & kReadsB) && op.b >= first_scratch) op.b = current[op.b - first_scratch];
+    if (op.dst < first_scratch) continue;
+    std::uint32_t& value = current[op.dst - first_scratch];
+    if ((m & kReadsDst) == 0) value = first_scratch + values++;
+    op.dst = value;
+  }
+  return values;
+}
+
+/// Step 3: linear scan of the scheduled ops over `values` virtual words.
+/// Rewrites every scratch access to its physical word and returns the
+/// number of physical words, the peak of live values.
+std::uint32_t allocate_scratch(Program& p, std::uint32_t first_scratch,
+                               std::uint32_t values) {
+  constexpr std::uint32_t kNoValue = 0xffffffffu;
+  const auto n = static_cast<std::uint32_t>(p.ops.size());
+  std::vector<std::uint32_t> last(values, 0);  ///< index of the last access
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const Op& op = p.ops[i];
+    const std::uint8_t m = kReadMask[static_cast<std::size_t>(op.code)];
+    if ((m & kReadsA) && op.a >= first_scratch) last[op.a - first_scratch] = i;
+    if ((m & kReadsB) && op.b >= first_scratch) last[op.b - first_scratch] = i;
+    if (op.dst >= first_scratch) last[op.dst - first_scratch] = i;
+  }
+  std::vector<std::uint32_t> word(values);
+  // Free physical words as a bitmap, searched upward from the lowest word
+  // of 64 that may hold one.
+  std::vector<std::uint64_t> free_bits;
+  std::uint32_t lowest = 0;
+  std::uint32_t peak = 0;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    Op& op = p.ops[i];
+    const std::uint8_t m = kReadMask[static_cast<std::size_t>(op.code)];
+    const std::uint32_t dst = op.dst >= first_scratch ? op.dst - first_scratch : kNoValue;
+    // Frees value v's word when op i is its last access.
+    const auto release = [&](std::uint32_t v) {
+      if (last[v] != i) return;
+      free_bits[word[v] >> 6] |= std::uint64_t{1} << (word[v] & 63);
+      lowest = std::min(lowest, word[v] >> 6);
+    };
+    const auto read = [&](std::uint32_t& w) {
+      if (w < first_scratch) return;
+      const std::uint32_t v = w - first_scratch;
+      w = first_scratch + word[v];
+      if (v != dst) release(v);  // a read-modify-write's dst value lives on
+    };
+    if (m & kReadsA) read(op.a);
+    if (m & kReadsB) read(op.b);
+    if (dst == kNoValue) continue;
+    if ((m & kReadsDst) == 0) {
+      while (lowest < free_bits.size() && free_bits[lowest] == 0) ++lowest;
+      if (lowest == free_bits.size()) {
+        word[dst] = peak++;
+        if (free_bits.size() * 64 < peak) free_bits.push_back(0);
+      } else {
+        word[dst] = lowest * 64 + static_cast<std::uint32_t>(std::countr_zero(free_bits[lowest]));
+        free_bits[lowest] &= free_bits[lowest] - 1;
+      }
+    }
+    op.dst = first_scratch + word[dst];
+    release(dst);
+  }
+  return peak;
+}
+
 }  // namespace
 
-void schedule_runs(Program& p) {
+void schedule_runs(Program& p) { schedule_runs(p, p.arena_words); }
+
+void schedule_runs(Program& p, std::uint32_t first_scratch) {
   // Compilers push_back ops; the program lives as long as its engine.
   p.ops.shrink_to_fit();
-  if (p.ops.size() < 2) return;
-  RunScheduler scheduler(p.arena_words, static_cast<std::uint32_t>(std::min<std::size_t>(
-                                            kWindow, p.ops.size())));
-  OpCode run = p.ops.front().code;
-  for (std::size_t base = 0; base < p.ops.size(); base += kWindow) {
-    const auto n = static_cast<std::uint32_t>(
-        std::min<std::size_t>(kWindow, p.ops.size() - base));
-    scheduler.schedule(p.ops.data() + base, n, run);
+  const bool scratch = first_scratch < p.arena_words;
+  const std::uint32_t values = scratch ? rename_scratch(p, first_scratch) : 0;
+  if (p.ops.size() >= 2) {
+    RunScheduler scheduler(scratch ? first_scratch + values : p.arena_words,
+                           static_cast<std::uint32_t>(
+                               std::min<std::size_t>(kWindow, p.ops.size())));
+    OpCode run = p.ops.front().code;
+    for (std::size_t base = 0; base < p.ops.size(); base += kWindow) {
+      const auto n = static_cast<std::uint32_t>(
+          std::min<std::size_t>(kWindow, p.ops.size() - base));
+      scheduler.schedule(p.ops.data() + base, n, run);
+    }
   }
+  if (scratch) p.arena_words = first_scratch + allocate_scratch(p, first_scratch, values);
+}
+
+std::size_t opcode_runs(const Program& p) noexcept {
+  std::size_t runs = p.ops.empty() ? 0 : 1;
+  for (std::size_t i = 1; i < p.ops.size(); ++i) runs += p.ops[i].code != p.ops[i - 1].code;
+  return runs;
 }
 
 }  // namespace udsim

@@ -26,4 +26,31 @@ namespace udsim {
 /// in every compiled program (validate_program's ProgramOpBounds).
 void schedule_runs(Program& p);
 
+/// As above, with the arena words from `first_scratch` up to `p.arena_words`
+/// treated as pass-local temporaries: every scratch value is written in the
+/// pass before it is read, has no arena_init entry and is never probed, so
+/// only the values a pass computes matter, not the words that hold them.
+/// In three steps:
+///   1. each plain write to a scratch word starts a new value with a
+///      virtual word of its own, and its readers read that word; a
+///      read-modify-write (Acc*, ShlOr, MaskShlOr, MaskedCopy) continues
+///      the value current at its dst;
+///   2. the ops are scheduled as above, so scratch ops wait only on true
+///      dependencies, not on the reuse of a word;
+///   3. a linear scan of the scheduled ops gives each value the lowest
+///      free scratch word at its first write and frees the word after its
+///      last access (an op reads its operands before it writes, so its
+///      result may take the word of an operand that dies at it).
+/// Then `p.arena_words = first_scratch + ` the peak number of live scratch
+/// values. Ops, arena_init and every word below first_scratch keep their
+/// values after every pass; only scratch word numbers change. With
+/// `first_scratch >= p.arena_words` this is the overload above.
+/// Throws std::invalid_argument, leaving `p` unchanged, when a scratch word
+/// is read before any write in the pass or has an arena_init entry.
+void schedule_runs(Program& p, std::uint32_t first_scratch);
+
+/// The number of same-opcode runs in `p.ops`: the threaded executor's
+/// indirect jumps per pass.
+[[nodiscard]] std::size_t opcode_runs(const Program& p) noexcept;
+
 }  // namespace udsim

@@ -126,6 +126,8 @@ Lcc3Compiled compile_lcc3(const Netlist& nl, bool packed, int word_bits) {
     out.net_h[n] = 2 * n;
     out.net_l[n] = 2 * n + 1;
   }
+  // Six pass-local scratch rails above the nets' rails; schedule_runs
+  // renames them per value and sizes the arena to their peak.
   const auto scratch_base = static_cast<std::uint32_t>(2 * nl.net_count());
   p.arena_words = scratch_base + 6;
   p.input_words = static_cast<std::uint32_t>(2 * nl.primary_inputs().size());
@@ -149,7 +151,7 @@ Lcc3Compiled compile_lcc3(const Netlist& nl, bool packed, int word_bits) {
   for (GateId gid : topological_gate_order(nl)) {
     emitter.emit(nl, gid);
   }
-  schedule_runs(p);
+  schedule_runs(p, scratch_base);
   return out;
 }
 

@@ -95,6 +95,9 @@ class ParallelEmitter {
     finalize_stats();
   }
 
+  /// First scratch word: the per-gate pool lies above the fields.
+  [[nodiscard]] std::uint32_t field_end() const noexcept { return field_end_; }
+
  private:
   // ---- layout ---------------------------------------------------------------
 
@@ -466,7 +469,8 @@ ParallelCompiled compile_parallel(const Netlist& nl, const ParallelOptions& opti
     TraceSpan span(reg, "compile.emit");
     ParallelEmitter emitter(nl, out);
     emitter.run();
-    schedule_runs(out.program);
+    schedule_runs(out.program,
+                  options.rename_scratch ? emitter.field_end() : out.program.arena_words);
   }
   guard.accept(out.program, kind, nl.net_count());
   if (reg) {

@@ -37,6 +37,12 @@ struct ParallelOptions {
   bool trimming = false;
   ShiftElim shift_elim = ShiftElim::None;
   int word_bits = 32;
+  /// Rename the per-gate scratch words while run-ordering the ops
+  /// (ir/schedule.h), so the threaded executor dispatches once per long run.
+  /// Off, run ordering keeps the reused words and the ops stay near
+  /// emission order, whose short live ranges a C compiler keeps in
+  /// registers (EngineKind::Native).
+  bool rename_scratch = true;
 };
 
 struct ParallelCodeStats {

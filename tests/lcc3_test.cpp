@@ -5,6 +5,7 @@
 #include "gen/random_dag.h"
 #include "gen/rng.h"
 #include "gen/sequential.h"
+#include "ir/schedule.h"
 #include "lcc/lcc3.h"
 #include "test_util.h"
 
@@ -82,6 +83,47 @@ TEST(Lcc3, MatchesDirectEvaluationOnRandomCircuits) {
         ASSERT_EQ(sim.value(NetId{n}), expect[n])
             << nl.net(NetId{n}).name << " trial " << trial;
       }
+    }
+  }
+}
+
+// Every XOR gate folds through the same scratch rails in emission order;
+// run ordering renames them per gate, so the gates' And and Or ops merge
+// into shared runs instead of alternating at every gate, and the rails'
+// arena words grow only to the peak of live values.
+TEST(Lcc3, XorScratchRailsAreRenamedPerGate) {
+  RandomDagParams p;
+  p.inputs = 12;
+  p.outputs = 6;
+  p.gates = 300;
+  p.depth = 12;
+  p.seed = 11;
+  p.xor_fraction = 0.8;
+  p.max_fanin = 4;
+  const Netlist nl = random_dag(p);
+  std::size_t xors = 0;
+  for (const Gate& g : nl.gates()) {
+    xors += (g.type == GateType::Xor || g.type == GateType::Xnor) && g.inputs.size() > 1;
+  }
+  ASSERT_GT(xors, 100u);
+  for (const int w : {32, 64}) {
+    const Lcc3Compiled c = compile_lcc3(nl, false, w);
+    EXPECT_LT(opcode_runs(c.program), xors) << "w" << w;  // 5 per gate unrenamed
+    EXPECT_GT(c.program.arena_words, 2 * nl.net_count()) << "w" << w;
+  }
+  Lcc3Sim<std::uint64_t> sim(nl);
+  Rng rng(p.seed);
+  std::vector<Tri> v(nl.primary_inputs().size());
+  for (int trial = 0; trial < 40; ++trial) {
+    for (Tri& x : v) {
+      const auto r = rng.below(3);
+      x = r == 0 ? Tri::Zero : (r == 1 ? Tri::One : Tri::X);
+    }
+    sim.step(v);
+    const std::vector<Tri> expect = tri_evaluate(nl, v);
+    for (std::uint32_t n = 0; n < nl.net_count(); ++n) {
+      ASSERT_EQ(sim.value(NetId{n}), expect[n])
+          << nl.net(NetId{n}).name << " trial " << trial;
     }
   }
 }

@@ -169,8 +169,8 @@ TEST(ThreadPoolExceptions, FailFastSkipsUnclaimedIndices) {
   EXPECT_EQ(clean.load(), 16u);
 }
 
-// The single-worker inline path propagates too (exactness of the inline
-// fallback the batch layer relies on for num_threads == 1).
+// A one-worker pool runs index 0 on the caller and the rest on its worker;
+// a throw from either side propagates, and the pool stays usable.
 TEST(ThreadPoolExceptions, InlinePathPropagates) {
   ThreadPool pool(1);
   EXPECT_THROW(

@@ -3,7 +3,9 @@
 // and write-after-write pair on an arena word in order. Checked on every
 // ISCAS profile × compiler × lane width and on hand-built programs that
 // reuse scratch words, read their dst, or span several 4096-op windows.
-// Also checks the metadata that indexes ops by position or by order: the
+// With a first scratch word, it also renames the words above it: checked
+// by execution and by symbolic value numbering against the unrenamed order,
+// and for a tight, collision-free allocation. Also checks the metadata that indexes ops by position or by order: the
 // LCC def_end table and the dataflow attribution of profile_program.
 #include "ir/schedule.h"
 
@@ -89,11 +91,19 @@ Word random_word(std::mt19937_64& rng) {
 
 /// `passes` stateful passes of `scheduled` through the threaded executor
 /// and of `reference` through the switch reference, on the same random
-/// inputs; the arenas must agree bit for bit after every pass.
+/// inputs; the arenas must agree bit for bit after every pass. With
+/// `fixed_words` set, only the words below it are compared (the words above
+/// are pass-local scratch, which renaming may lay out differently).
+constexpr std::uint32_t kWholeArena = 0xffffffffu;
+
 template <class Word>
 void expect_same_arenas(const Program& scheduled, const Program& reference,
-                        int passes, std::uint64_t seed, const std::string& what) {
-  ASSERT_EQ(scheduled.arena_words, reference.arena_words) << what;
+                        int passes, std::uint64_t seed, const std::string& what,
+                        std::uint32_t fixed_words) {
+  if (fixed_words == kWholeArena) {
+    ASSERT_EQ(scheduled.arena_words, reference.arena_words) << what;
+    fixed_words = reference.arena_words;
+  }
   std::vector<Word> a(scheduled.arena_words), b(reference.arena_words);
   initialize_arena<Word>(scheduled, a);
   initialize_arena<Word>(reference, b);
@@ -103,24 +113,28 @@ void expect_same_arenas(const Program& scheduled, const Program& reference,
     for (Word& w : in) w = random_word<Word>(rng);
     execute<Word>(scheduled, in, a);
     execute_switch<Word>(reference, in, b);
-    ASSERT_TRUE(a == b) << what << ": arenas differ after pass " << pass;
+    ASSERT_TRUE(std::equal(a.begin(), a.begin() + fixed_words, b.begin()))
+        << what << ": arenas differ after pass " << pass;
   }
 }
 
 void expect_same_arenas_at(int word_bits, const Program& scheduled,
                            const Program& reference, int passes,
-                           std::uint64_t seed, const std::string& what) {
+                           std::uint64_t seed, const std::string& what,
+                           std::uint32_t fixed_words = kWholeArena) {
   switch (word_bits) {
     case 32:
-      return expect_same_arenas<std::uint32_t>(scheduled, reference, passes, seed, what);
+      return expect_same_arenas<std::uint32_t>(scheduled, reference, passes, seed, what,
+                                               fixed_words);
     case 64:
-      return expect_same_arenas<std::uint64_t>(scheduled, reference, passes, seed, what);
+      return expect_same_arenas<std::uint64_t>(scheduled, reference, passes, seed, what,
+                                               fixed_words);
 #if UDSIM_HAS_W128
     case 128:
-      return expect_same_arenas<u128>(scheduled, reference, passes, seed, what);
+      return expect_same_arenas<u128>(scheduled, reference, passes, seed, what, fixed_words);
 #endif
     case 256:
-      return expect_same_arenas<u256>(scheduled, reference, passes, seed, what);
+      return expect_same_arenas<u256>(scheduled, reference, passes, seed, what, fixed_words);
     default:
       FAIL() << what << ": no executor for " << word_bits << "-bit words";
   }
@@ -145,6 +159,7 @@ void check_schedule(const Program& p, std::uint64_t seed, const std::string& wha
 struct NamedProgram {
   std::string name;
   Program program;
+  std::uint32_t first_scratch;  ///< what the compiler passes to schedule_runs
 };
 
 std::vector<NamedProgram> compiled_programs(const Netlist& nl, int w) {
@@ -158,11 +173,16 @@ std::vector<NamedProgram> compiled_programs(const Netlist& nl, int w) {
        {.trimming = true, .shift_elim = ShiftElim::PathTracing, .word_bits = w}},
   };
   for (const auto& [name, options] : variants) {
-    out.push_back({name, compile_parallel(nl, options).program});
+    ParallelCompiled c = compile_parallel(nl, options);
+    const std::uint32_t field_end = c.net_base.back() + c.net_words.back();
+    out.push_back({name, std::move(c.program), field_end});
   }
-  out.push_back({"pcset", compile_pcset(nl, {}, w).program});
-  out.push_back({"lcc", compile_lcc(nl, w).program});
-  out.push_back({"lcc3", compile_lcc3(nl, false, w).program});
+  Program pcset = compile_pcset(nl, {}, w).program;
+  out.push_back({"pcset", pcset, pcset.arena_words});
+  Program lcc = compile_lcc(nl, w).program;
+  out.push_back({"lcc", lcc, lcc.arena_words});
+  out.push_back({"lcc3", compile_lcc3(nl, false, w).program,
+                 static_cast<std::uint32_t>(2 * nl.net_count())});
   return out;
 }
 
@@ -175,6 +195,144 @@ std::vector<int> testable_widths() {
   return widths;
 }
 
+// ---- scratch renaming ---------------------------------------------------
+
+/// Which of a, b and dst an opcode reads as arena words, by position (where
+/// arena_reads collapses coinciding words).
+struct ReadPositions {
+  bool a = false, b = false, dst = false;
+};
+
+ReadPositions read_positions(OpCode c) {
+  const OpReads r = arena_reads(Op{c, 0, 0, 1, 2});
+  ReadPositions rp;
+  for (int k = 0; k < r.count; ++k) {
+    (r.word[k] == 1 ? rp.a : r.word[k] == 2 ? rp.b : rp.dst) = true;
+  }
+  return rp;
+}
+
+std::uint64_t mix(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+/// One pass of `p` on symbols: every arena word enters the pass as a symbol
+/// of its own and every op's result is a hash of its opcode, immediate,
+/// input index and the symbols it reads, in operand order. Two orders and
+/// layouts of one computation agree on the sorted results and on the final
+/// symbols below `first_scratch`; a read that sees another value's word
+/// (two live values sharing one) changes its result.
+struct SymbolicPass {
+  std::vector<std::uint64_t> results;  ///< sorted
+  std::vector<std::uint64_t> fixed;    ///< words below first_scratch at pass end
+};
+
+SymbolicPass symbolic_pass(const Program& p, std::uint32_t first_scratch) {
+  std::vector<std::uint64_t> w(p.arena_words);
+  for (std::uint32_t i = 0; i < p.arena_words; ++i) w[i] = mix(i);
+  SymbolicPass out;
+  for (const Op& op : p.ops) {
+    const ReadPositions rp = read_positions(op.code);
+    std::uint64_t h = mix((std::uint64_t{static_cast<std::uint8_t>(op.code)} << 8) | op.imm);
+    const bool loads = op.code == OpCode::LoadBit || op.code == OpCode::LoadBcast ||
+                       op.code == OpCode::LoadWord;
+    if (loads) h = mix(h ^ ~std::uint64_t{op.a});
+    if (rp.a) h = mix(h * 31 + w[op.a]);
+    if (rp.b) h = mix(h * 37 + w[op.b]);
+    if (rp.dst) h = mix(h * 41 + w[op.dst]);
+    w[op.dst] = h;
+    out.results.push_back(h);
+  }
+  std::sort(out.results.begin(), out.results.end());
+  out.fixed.assign(w.begin(), w.begin() + first_scratch);
+  return out;
+}
+
+/// The fewest scratch words any layout of `p`'s scratch values needs in
+/// its op order: the most values live at one op, counting the values
+/// written at or before it and accessed after it, plus its own result when
+/// no later op accesses it. Every scratch read must follow a write.
+std::uint32_t peak_live_scratch(const Program& p, std::uint32_t first_scratch) {
+  struct Value {
+    std::size_t write, last;
+  };
+  std::vector<Value> values;
+  std::vector<std::size_t> current(p.arena_words - first_scratch);
+  for (std::size_t i = 0; i < p.ops.size(); ++i) {
+    const Op& op = p.ops[i];
+    const ReadPositions rp = read_positions(op.code);
+    const auto touch = [&](std::uint32_t w) {
+      if (w >= first_scratch) values[current[w - first_scratch]].last = i;
+    };
+    if (rp.a) touch(op.a);
+    if (rp.b) touch(op.b);
+    if (rp.dst) {
+      touch(op.dst);
+    } else if (op.dst >= first_scratch) {
+      current[op.dst - first_scratch] = values.size();
+      values.push_back({i, i});
+    }
+  }
+  std::vector<int> delta(p.ops.size() + 1, 0), dead(p.ops.size(), 0);
+  for (const Value& v : values) {
+    if (v.last > v.write) {
+      ++delta[v.write];
+      --delta[v.last];
+    } else {
+      ++dead[v.write];
+    }
+  }
+  int live = 0, peak = 0;
+  for (std::size_t i = 0; i < p.ops.size(); ++i) {
+    live += delta[i];
+    peak = std::max(peak, live + dead[i]);
+  }
+  return static_cast<std::uint32_t>(peak);
+}
+
+/// sorted_keys with every scratch word number replaced by one marker.
+std::vector<OpKey> sorted_fixed_keys(const Program& p, std::uint32_t first_scratch) {
+  std::vector<OpKey> k;
+  k.reserve(p.ops.size());
+  for (const Op& op : p.ops) {
+    const ReadPositions rp = read_positions(op.code);
+    const auto fixed = [&](std::uint32_t w, bool arena) {
+      return arena && w >= first_scratch ? 0xffffffffu : w;
+    };
+    k.emplace_back(static_cast<int>(op.code), op.imm, fixed(op.dst, true),
+                   fixed(op.a, rp.a), fixed(op.b, rp.b));
+  }
+  std::sort(k.begin(), k.end());
+  return k;
+}
+
+/// Renames `reference`'s scratch words from `first_scratch` up and checks
+/// the result against it: the same ops up to scratch word numbers, the
+/// same values (symbolically, and over `passes` executed passes below
+/// first_scratch), and an arena of first_scratch plus the peak of live
+/// scratch values in the new order. Returns the renamed program.
+Program check_renamed(const Program& reference, std::uint32_t first_scratch,
+                      std::uint64_t seed, const std::string& what, int passes = 50) {
+  Program renamed = reference;
+  schedule_runs(renamed, first_scratch);
+  EXPECT_EQ(sorted_fixed_keys(renamed, first_scratch),
+            sorted_fixed_keys(reference, first_scratch))
+      << what << ": not the same ops";
+  const SymbolicPass got = symbolic_pass(renamed, first_scratch);
+  const SymbolicPass want = symbolic_pass(reference, first_scratch);
+  EXPECT_TRUE(got.results == want.results) << what << ": an op reads a different value";
+  EXPECT_TRUE(got.fixed == want.fixed) << what << ": a fixed word ends with a different value";
+  EXPECT_EQ(renamed.arena_words, first_scratch + peak_live_scratch(renamed, first_scratch))
+      << what << ": allocation is not tight";
+  EXPECT_EQ(renamed.arena_init.size(), reference.arena_init.size()) << what;
+  expect_same_arenas_at(reference.word_bits, renamed, reference, passes, seed, what,
+                        first_scratch);
+  return renamed;
+}
+
 class ScheduleProfiles : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ScheduleProfiles, CompiledProgramsAtEveryWidth) {
@@ -184,6 +342,31 @@ TEST_P(ScheduleProfiles, CompiledProgramsAtEveryWidth) {
     for (const NamedProgram& np : compiled_programs(nl, w)) {
       check_schedule(np.program, seed++,
                      GetParam() + "/" + np.name + "/w" + std::to_string(w));
+    }
+  }
+}
+
+// Renaming against the unrenamed execution: a dependency-preserving
+// shuffle of each compiled program (its scratch words reused in a new
+// order) renamed from the compiler's first scratch word computes the same
+// values. Without scratch (PC-set, LCC) renaming is plain run ordering.
+TEST_P(ScheduleProfiles, RenamedScratchMatchesUnrenamedExecution) {
+  const Netlist nl = make_iscas85_like(GetParam());
+  std::uint64_t seed = 500;
+  for (const int w : testable_widths()) {
+    for (const NamedProgram& np : compiled_programs(nl, w)) {
+      const std::string what = GetParam() + "/" + np.name + "/w" + std::to_string(w);
+      const Program reference = dependency_preserving_shuffle(np.program, seed++);
+      const Program renamed = check_renamed(reference, np.first_scratch, seed, what);
+      if (np.first_scratch == np.program.arena_words) {
+        Program plain = reference;
+        schedule_runs(plain);
+        ASSERT_EQ(renamed.ops.size(), plain.ops.size()) << what;
+        for (std::size_t i = 0; i < plain.ops.size(); ++i) {
+          ASSERT_EQ(key(renamed.ops[i]), key(plain.ops[i])) << what << " position " << i;
+        }
+        EXPECT_EQ(renamed.arena_words, plain.arena_words) << what;
+      }
     }
   }
 }
@@ -254,6 +437,116 @@ TEST(Schedule, ScratchReuseKeepsWarAndWawOrder) {
   EXPECT_EQ(s.ops[3].dst, 7u);
   expect_same_arenas_at(32, s, p, 200, 7, "scratch reuse");
   check_schedule(p, 11, "scratch reuse");
+  // A first scratch word at the arena's end renames nothing.
+  Program none = p;
+  schedule_runs(none, p.arena_words);
+  ASSERT_EQ(none.ops.size(), s.ops.size());
+  for (std::size_t i = 0; i < s.ops.size(); ++i) EXPECT_EQ(key(none.ops[i]), key(s.ops[i])) << i;
+  EXPECT_EQ(none.arena_words, p.arena_words);
+}
+
+TEST(Schedule, RenamedScratchDropsWarAndWawOrder) {
+  // Three independent gates pass their results through scratch word 6.
+  // Reusing the word forces Xor, Copy, Xor, Copy, ...; renamed, each value
+  // has a word of its own and the gates form one Xor run and one Copy run,
+  // over three scratch words.
+  const Program p = hand_program(
+      7, 3,
+      {{OpCode::LoadWord, 0, 0, 0, 0},
+       {OpCode::LoadWord, 0, 1, 1, 0},
+       {OpCode::LoadWord, 0, 2, 2, 0},
+       {OpCode::Xor, 0, 6, 0, 1},
+       {OpCode::Copy, 0, 3, 6, 0},
+       {OpCode::Xor, 0, 6, 1, 2},
+       {OpCode::Copy, 0, 4, 6, 0},
+       {OpCode::Xor, 0, 6, 0, 2},
+       {OpCode::Copy, 0, 5, 6, 0}});
+  Program fixed = p;
+  schedule_runs(fixed);
+  EXPECT_EQ(opcode_changes(fixed), 6u);
+  const Program renamed = check_renamed(p, 6, 7, "renamed scratch reuse", 200);
+  EXPECT_EQ(opcode_changes(renamed), 2u);
+  EXPECT_EQ(renamed.arena_words, 9u);
+}
+
+TEST(Schedule, ScratchReadBeforeWriteIsRejected) {
+  // Words 2 and up are scratch. Each program breaks the contract once;
+  // schedule_runs throws and leaves the program as it was, while the same
+  // program with no scratch schedules as before.
+  const auto rejected = [](Program p, std::uint32_t first_scratch, const char* what) {
+    const Program before = p;
+    EXPECT_THROW(schedule_runs(p, first_scratch), std::invalid_argument) << what;
+    EXPECT_EQ(sorted_keys(p), sorted_keys(before)) << what;
+    for (std::size_t i = 0; i < p.ops.size(); ++i) {
+      EXPECT_EQ(key(p.ops[i]), key(before.ops[i])) << what << " position " << i;
+    }
+    EXPECT_EQ(p.arena_words, before.arena_words) << what;
+    EXPECT_NO_THROW(schedule_runs(p)) << what;
+  };
+  // Read of a value the pass has not written: the previous pass's.
+  rejected(hand_program(4, 1,
+                        {{OpCode::LoadWord, 0, 0, 0, 0},
+                         {OpCode::Copy, 0, 1, 2, 0},
+                         {OpCode::Copy, 0, 2, 0, 0}}),
+           2, "read before the pass writes it");
+  // The b operand, and a read-modify-write of an unwritten word.
+  rejected(hand_program(4, 1,
+                        {{OpCode::LoadWord, 0, 0, 0, 0},
+                         {OpCode::Copy, 0, 2, 0, 0},
+                         {OpCode::And, 0, 1, 2, 3}}),
+           2, "b operand never written");
+  rejected(hand_program(4, 1,
+                        {{OpCode::LoadWord, 0, 0, 0, 0},
+                         {OpCode::AccOr, 0, 3, 0, 0},
+                         {OpCode::Copy, 0, 1, 3, 0}}),
+           2, "read-modify-write of an unwritten word");
+  // A scratch word with an init value.
+  Program init = hand_program(4, 1,
+                              {{OpCode::LoadWord, 0, 0, 0, 0},
+                               {OpCode::Copy, 0, 2, 0, 0},
+                               {OpCode::Copy, 0, 1, 2, 0}});
+  init.arena_init.push_back({3, ~std::uint64_t{0}});
+  rejected(init, 2, "init value on a scratch word");
+}
+
+TEST(Schedule, ReadModifyWriteChainsOnScratchKeepTheirValue) {
+  // Words 0-5 are fields (0-2 loaded, 3-5 stored), 6-8 scratch. Word 6
+  // carries one value through every read-modify-write opcode, then a
+  // second value; word 7 is rewritten from itself; word 8 xors itself.
+  const Program p = hand_program(
+      9, 3,
+      {{OpCode::LoadWord, 0, 0, 0, 0},
+       {OpCode::LoadWord, 0, 1, 1, 0},
+       {OpCode::LoadWord, 0, 2, 2, 0},
+       {OpCode::Copy, 0, 6, 0, 0},
+       {OpCode::AccAnd, 0, 6, 1, 0},
+       {OpCode::Copy, 0, 7, 6, 0},
+       {OpCode::AccXor, 0, 6, 2, 0},
+       {OpCode::ShlOr, 3, 6, 1, 0},
+       {OpCode::MaskShlOr, 5, 6, 2, 0},
+       {OpCode::MaskedCopy, 0, 6, 0, 7},
+       {OpCode::AccOr, 0, 6, 6, 0},
+       {OpCode::Copy, 0, 3, 6, 0},
+       {OpCode::Copy, 0, 6, 2, 0},
+       {OpCode::AccOr, 0, 6, 7, 0},
+       {OpCode::Not, 0, 7, 7, 0},
+       {OpCode::Xor, 0, 4, 6, 7},
+       {OpCode::Copy, 0, 8, 1, 0},
+       {OpCode::AccXor, 0, 8, 8, 0},
+       {OpCode::Or, 0, 5, 8, 6}});
+  const Program renamed = check_renamed(p, 6, 3, "read-modify-write chains", 200);
+  // Each read-modify-write continues the value in its own dst word: the
+  // chain from op 3 stays in one word up to its Copy into word 3.
+  std::uint32_t chain = 0xffffffffu;
+  for (const Op& op : renamed.ops) {
+    if (op.code == OpCode::MaskShlOr) chain = op.dst;
+  }
+  for (const Op& op : renamed.ops) {
+    if (op.code == OpCode::AccAnd || op.code == OpCode::ShlOr ||
+        op.code == OpCode::MaskedCopy) {
+      EXPECT_EQ(op.dst, chain);
+    }
+  }
 }
 
 TEST(Schedule, ReadModifyWriteOpsReadTheirDst) {
@@ -328,6 +621,53 @@ Program random_program(std::size_t ops, int word_bits, std::uint64_t seed) {
     p.ops.push_back(op);
   }
   return p;
+}
+
+/// random_program whose words from `first_scratch` up obey the scratch
+/// contract: a scratch word is read only once the pass has written it.
+Program random_scratch_program(std::size_t ops, int word_bits, std::uint64_t seed,
+                               std::uint32_t first_scratch) {
+  Program p = random_program(ops, word_bits, seed);
+  std::mt19937_64 rng(seed ^ 0x5eed);
+  std::vector<std::uint32_t> written;  // scratch words written so far
+  const auto fixed_word = [&] { return static_cast<std::uint32_t>(rng() % first_scratch); };
+  const auto readable = [&] {
+    if (written.empty() || rng() % 2 == 0) return fixed_word();
+    return written[rng() % written.size()];
+  };
+  for (Op& op : p.ops) {
+    const ReadPositions rp = read_positions(op.code);
+    if (rp.a) op.a = readable();
+    if (rp.b) op.b = readable();
+    if (rp.dst) {
+      op.dst = readable();
+    } else if (op.dst >= first_scratch &&
+               std::find(written.begin(), written.end(), op.dst) == written.end()) {
+      written.push_back(op.dst);
+    }
+  }
+  return p;
+}
+
+TEST(Schedule, PeakLiveAllocationNeverSharesALiveWord) {
+  // Dense random programs over 80 scratch words, up to several windows
+  // long. Were two values live at once given one word, a read would see the
+  // wrong one and the symbolic pass of check_renamed would differ. The
+  // arena holds exactly the peak of live values, fewer words than values.
+  std::uint64_t seed = 70;
+  for (const int w : testable_widths()) {
+    for (const std::size_t ops : {std::size_t{300}, std::size_t{5000}, std::size_t{10000}}) {
+      const Program p = random_scratch_program(ops, w, seed++, 16);
+      const std::string what =
+          "random scratch/" + std::to_string(ops) + "/w" + std::to_string(w);
+      const Program renamed = check_renamed(p, 16, seed, what);
+      const auto values = static_cast<std::uint32_t>(
+          std::count_if(p.ops.begin(), p.ops.end(), [](const Op& op) {
+            return op.dst >= 16 && !read_positions(op.code).dst;
+          }));
+      EXPECT_LT(renamed.arena_words - 16, values) << what << ": no word was reused";
+    }
+  }
 }
 
 TEST(Schedule, ProgramsLongerThanOneWindow) {

@@ -123,5 +123,27 @@ TEST(ThreadPoolTest, ParallelForSurvivesConcurrentDestructionRace) {
   }
 }
 
+// parallel_for runs index 0 on the calling thread and every other index on
+// a worker, so a two-index loop on a one-worker pool always spans two
+// threads (the batch layer's two-thread runs rely on it).
+TEST(ThreadPoolTest, ParallelForRunsIndexZeroOnTheCaller) {
+  ThreadPool pool(1);
+  for (int round = 0; round < 20; ++round) {
+    std::vector<std::thread::id> ran_on(2);
+    pool.parallel_for(ran_on.size(),
+                      [&ran_on](std::size_t i) { ran_on[i] = std::this_thread::get_id(); });
+    EXPECT_EQ(ran_on[0], std::this_thread::get_id()) << "round " << round;
+    EXPECT_NE(ran_on[1], std::this_thread::get_id()) << "round " << round;
+  }
+  ThreadPool wide(3);
+  std::vector<std::thread::id> ran_on(64);
+  wide.parallel_for(ran_on.size(),
+                    [&ran_on](std::size_t i) { ran_on[i] = std::this_thread::get_id(); });
+  EXPECT_EQ(ran_on[0], std::this_thread::get_id());
+  for (std::size_t i = 1; i < ran_on.size(); ++i) {
+    EXPECT_NE(ran_on[i], std::this_thread::get_id()) << "index " << i;
+  }
+}
+
 }  // namespace
 }  // namespace udsim

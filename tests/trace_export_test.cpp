@@ -81,8 +81,8 @@ TEST(TraceExport, TimestampsAreMicrosecondsWithSubMicrosecondDigits) {
 }
 
 // Acceptance gate: a 2-thread run_batch exports a valid Chrome trace whose
-// batch.shard events carry >= 2 distinct tids. One pool worker can drain
-// both shards on a busy host, so the run retries with fresh pools.
+// batch.shard events carry 2 distinct tids. The pool runs shard 0 on the
+// calling thread and shard 1 on its one worker, so one run suffices.
 TEST(TraceExport, TwoThreadBatchTraceHasTwoDistinctTids) {
   const Netlist nl = make_iscas85_like("c880");
   MetricsRegistry reg;
@@ -90,19 +90,19 @@ TEST(TraceExport, TwoThreadBatchTraceHasTwoDistinctTids) {
   auto sim = make_simulator(nl, EngineKind::ParallelCombined, guard);
   const std::vector<Bit> bits = stream_for(nl, 2048);
 
+  reg.clear_trace();
+  (void)sim->run_batch(bits, 2);
+  const JsonValue doc = JsonValue::parse(reg.trace_to_json());
   std::set<std::uint64_t> tids;
-  for (int attempt = 0; attempt < 20 && tids.size() < 2; ++attempt) {
-    reg.clear_trace();
-    (void)sim->run_batch(bits, 2);
-    const JsonValue doc = JsonValue::parse(reg.trace_to_json());
-    tids.clear();
-    for (const JsonValue& e : doc.at("traceEvents").array) {
-      if (e.at("name").string == "batch.shard") {
-        tids.insert(e.at("tid").as_u64());
-      }
+  std::size_t shards = 0;
+  for (const JsonValue& e : doc.at("traceEvents").array) {
+    if (e.at("name").string == "batch.shard") {
+      tids.insert(e.at("tid").as_u64());
+      ++shards;
     }
   }
-  EXPECT_GE(tids.size(), 2u);
+  EXPECT_EQ(shards, 2u);
+  EXPECT_EQ(tids.size(), 2u);
 }
 
 TEST(TraceExport, ClearTraceEmptiesTheBuffer) {
