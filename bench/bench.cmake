@@ -36,6 +36,7 @@ target_compile_definitions(bench_report PRIVATE
 udsim_bench(ablation_wordsize)
 udsim_bench(ablation_dataparallel)
 udsim_bench(ablation_lane_io)
+udsim_bench(ablation_compile_scale)
 
 # Smoke-test every harness binary under ctest (tiny workloads).
 add_test(NAME bench_fig19_smoke COMMAND fig19_techniques --vectors 40 --trials 1 --circuits c432,c499)
@@ -51,6 +52,7 @@ add_test(NAME bench_emitted_c_smoke COMMAND ablation_emitted_c --vectors 40 --tr
 add_test(NAME bench_wordsize_smoke COMMAND ablation_wordsize --vectors 40 --trials 1 --circuits c432)
 add_test(NAME bench_dataparallel_smoke COMMAND ablation_dataparallel --vectors 40 --trials 1 --circuits c432)
 add_test(NAME bench_lane_io_smoke COMMAND ablation_lane_io --vectors 70 --trials 1 --circuits c432)
+add_test(NAME bench_compile_scale_smoke COMMAND ablation_compile_scale --mult 4,8 --dag 500,2000 --trials 1)
 add_test(NAME bench_threads_smoke COMMAND ablation_threads --vectors 200 --trials 1 --circuits c432 --threads 1,2 --json ablation_threads_smoke.json)
 add_test(NAME bench_observability_smoke COMMAND ablation_observability --vectors 200 --trials 1 --circuits c432,c880 --json ablation_observability_smoke.json)
 add_test(NAME bench_resilience_smoke COMMAND ablation_resilience --vectors 200 --trials 1 --circuits c432,c880 --json ablation_resilience_smoke.json)

@@ -31,8 +31,8 @@ run() {  # <asan|tsan> <cmake option> <ctest label regex>
 
 for config in ${*:-asan tsan}; do
   case "$config" in
-    asan) run asan UDSIM_ASAN 'ir|robustness|resilience|report|native|service|simd|telemetry' ;;
-    tsan) run tsan UDSIM_TSAN 'threads|resilience|native|service|simd|telemetry' ;;
+    asan) run asan UDSIM_ASAN 'ir|robustness|resilience|report|native|service|simd|telemetry|scale' ;;
+    tsan) run tsan UDSIM_TSAN 'threads|resilience|native|service|simd|telemetry|scale' ;;
     *) echo "unknown configuration '$config' (asan, tsan)" >&2; exit 2 ;;
   esac
 done

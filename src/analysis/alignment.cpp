@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
 #include <unordered_set>
 
 #include "analysis/network_graph.h"
@@ -23,60 +24,38 @@ AlignmentPlan align_unoptimized(const Netlist& nl, const Levelization&) {
 }
 
 AlignmentPlan align_path_tracing(const Netlist& nl, const Levelization& lv) {
+  return align_path_tracing(nl, lv, topological_gate_order(nl, lv));
+}
+
+AlignmentPlan align_path_tracing(const Netlist& nl, const Levelization& lv,
+                                 std::span<const GateId> order) {
+  if (order.size() != nl.gate_count()) {
+    throw std::invalid_argument("align_path_tracing: order must list every gate once");
+  }
+  // Paper Fig. 17's traces from the primary outputs, as one sweep: a net's
+  // alignment is the least of its seed and, over its reader gates g,
+  // gate_align[g] - delay(g); a gate takes its output net's alignment.
+  // Walking the gates in reverse topological order finishes every reader of
+  // a net before its drivers, so each output net is final when its gate is
+  // visited. Seeds are minlevel on primary outputs and on fanout-free nets
+  // (the starts of dead regions); a seed anywhere else is never the least.
   AlignmentPlan plan;
-  plan.net_align.assign(nl.net_count(), kUnassigned);
-  plan.gate_align.assign(nl.gate_count(), kUnassigned);
-
-  // Iterative version of paper Fig. 17 (net_align / gate_align mutual
-  // recursion) — an explicit stack keeps deep circuits (c6288-like) safe.
-  struct Item {
-    bool is_net;
-    std::uint32_t id;
-    int value;
-  };
-  std::vector<Item> stack;
-  const auto drain = [&] {
-    while (!stack.empty()) {
-      const Item it = stack.back();
-      stack.pop_back();
-      if (it.is_net) {
-        if (it.value < plan.net_align[it.id]) {
-          plan.net_align[it.id] = it.value;
-          for (GateId g : nl.net(NetId{it.id}).drivers) {
-            stack.push_back({false, g.value, it.value});
-          }
-        }
-      } else {
-        if (it.value < plan.gate_align[it.id]) {
-          plan.gate_align[it.id] = it.value;
-          const Gate& g = nl.gate(GateId{it.id});
-          const int d = nl.delay(GateId{it.id});
-          for (NetId in : g.inputs) {
-            stack.push_back({true, in.value, it.value - d});
-          }
-        }
-      }
+  plan.net_align.resize(nl.net_count());
+  for (std::uint32_t n = 0; n < nl.net_count(); ++n) {
+    const Net& net = nl.net(NetId{n});
+    plan.net_align[n] = net.is_primary_output || net.fanout.empty()
+                            ? lv.net_minlevel[n]
+                            : kUnassigned;
+  }
+  plan.gate_align.resize(nl.gate_count());
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const Gate& g = nl.gate(*it);
+    const int a = plan.net_align[g.output.value];
+    plan.gate_align[it->value] = a;
+    const int in_align = a - nl.delay(*it);
+    for (NetId in : g.inputs) {
+      plan.net_align[in.value] = std::min(plan.net_align[in.value], in_align);
     }
-  };
-
-  for (NetId po : nl.primary_outputs()) {
-    stack.push_back({true, po.value, lv.net_minlevel[po.value]});
-    drain();
-  }
-
-  // Nets not reaching any primary output: start a fresh trace at each,
-  // deepest first, aligned to its own minlevel (same rule as a PO start).
-  std::vector<std::uint32_t> rest;
-  for (std::uint32_t i = 0; i < nl.net_count(); ++i) {
-    if (plan.net_align[i] == kUnassigned) rest.push_back(i);
-  }
-  std::sort(rest.begin(), rest.end(), [&](std::uint32_t a, std::uint32_t b) {
-    return lv.net_level[a] > lv.net_level[b];
-  });
-  for (std::uint32_t n : rest) {
-    if (plan.net_align[n] != kUnassigned) continue;
-    stack.push_back({true, n, lv.net_minlevel[n]});
-    drain();
   }
   return plan;
 }

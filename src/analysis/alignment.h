@@ -7,13 +7,15 @@
 // gate). The two optimization algorithms assign alignments so that most
 // shifts vanish:
 //  - path tracing (paper Fig. 17): traces upward from primary outputs,
-//    never expands the bit-field, generates only right shifts;
+//    never expands the bit-field, generates only right shifts; computed as
+//    one reverse-topological sweep;
 //  - cycle breaking: removes a minimal set of edges from the undirected
 //    network graph, then propagates alignments over the remaining forest;
 //    may expand bit-fields and require left shifts.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "analysis/levelize.h"
@@ -50,10 +52,21 @@ struct AlignmentPlan {
 /// left shift at its output).
 [[nodiscard]] AlignmentPlan align_unoptimized(const Netlist& nl, const Levelization& lv);
 
-/// Path-tracing shift elimination (paper Fig. 17), extended to start a new
-/// trace at every net left unvisited by the primary-output traces so that
-/// dead regions still receive legal alignments.
+/// Path-tracing shift elimination (paper Fig. 17): the fixpoint of its
+/// traces, computed in one reverse-topological sweep, O(nets + pins). A
+/// net's alignment is the least of its seed and, over its reader gates g,
+/// gate_align[g] - delay(g); a gate's alignment is its output net's. Seeds
+/// are minlevel on every primary output and on every fanout-free net, so
+/// dead regions (nets that reach no primary output) are traced from their
+/// ends and still receive legal alignments.
 [[nodiscard]] AlignmentPlan align_path_tracing(const Netlist& nl, const Levelization& lv);
+
+/// The same over a topological gate order the caller already holds
+/// (topological_gate_order(nl, lv) or any other that lists every gate once,
+/// after the drivers of its inputs); throws std::invalid_argument when the
+/// order's length is not the gate count.
+[[nodiscard]] AlignmentPlan align_path_tracing(const Netlist& nl, const Levelization& lv,
+                                               std::span<const GateId> order);
 
 /// Cycle-breaking shift elimination: DFS on the undirected network graph,
 /// back edges removed, alignments propagated over the spanning forest, then

@@ -160,7 +160,7 @@ ParallelAnalysis analyse_parallel(const Netlist& nl, EngineKind kind, bool trimm
   {
     guard.check_cancel("compile.levelize");
     TraceSpan span(reg, "compile.levelize");
-    a.lv = levelize(nl);
+    a.lv = levelize(nl, a.order);
   }
   {
     guard.check_cancel("compile.alignment");
@@ -170,7 +170,7 @@ ParallelAnalysis analyse_parallel(const Netlist& nl, EngineKind kind, bool trimm
     } else if (kind == EngineKind::ParallelCycleBreaking) {
       a.plan = align_cycle_breaking(nl, a.lv);
     } else {
-      a.plan = align_path_tracing(nl, a.lv);
+      a.plan = align_path_tracing(nl, a.lv, a.order);
     }
     check_alignment_plan(nl, a.lv, a.plan);
   }
@@ -196,7 +196,10 @@ ParallelAnalysis analyse_parallel(const Netlist& nl, EngineKind kind, bool trimm
 CompileCostEstimate parallel_cost(const Netlist& nl, EngineKind kind,
                                   const ParallelAnalysis& a) {
   const bool uniform = uniform_fields(kind);
-  const auto& [lv, plan, widths, trim] = a;
+  const Levelization& lv = a.lv;
+  const AlignmentPlan& plan = a.plan;
+  const std::vector<int>& widths = a.widths;
+  const TrimPlan& trim = a.trim;
   const int W = trim.word_bits;
 
   CompileCostEstimate c{.kind = kind};

@@ -131,13 +131,15 @@ struct CompileGuard {
   void check_cancel(const char* phase) const;
 };
 
-/// What a parallel-technique compile analyses before it emits: levels, the
-/// kind's alignment plan, field widths, and the trim plan (word classes from
-/// the raw PC-sets when `trimming`, else all Computed). Traced and
-/// cancellable at compile.levelize / .alignment / .trimming (nested .pcset);
-/// throws NetlistError on an illegal alignment plan.
+/// What a parallel-technique compile analyses before it emits: levels and
+/// the topological gate order (path tracing walks it backwards, the emitter
+/// forwards), the kind's alignment plan, field widths, and the trim plan
+/// (word classes from the raw PC-sets when `trimming`, else all Computed).
+/// Traced and cancellable at compile.levelize / .alignment / .trimming
+/// (nested .pcset); throws NetlistError on an illegal alignment plan.
 struct ParallelAnalysis {
   Levelization lv;
+  std::vector<GateId> order;  ///< topological_gate_order(nl, lv)
   AlignmentPlan plan;
   std::vector<int> widths;
   TrimPlan trim;

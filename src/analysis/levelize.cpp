@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 namespace udsim {
 
@@ -59,9 +60,22 @@ void run_worklist(const Netlist& nl, NetFn&& net_fn, GateFn&& gate_fn) {
   }
 }
 
-}  // namespace
+/// A topological gate order made level-sorted for readable generated code:
+/// each gate goes to the end of its level's slot range (a counting sort by
+/// gate level that keeps the given order within a level). A gate's level
+/// never exceeds the depth.
+std::vector<GateId> sort_by_level(const std::vector<GateId>& topo, const Levelization& lv) {
+  std::vector<std::size_t> next(static_cast<std::size_t>(lv.depth) + 2, 0);
+  for (int level : lv.gate_level) ++next[static_cast<std::size_t>(level) + 1];
+  std::partial_sum(next.begin(), next.end(), next.begin());
+  std::vector<GateId> order(topo.size());
+  for (GateId g : topo) order[next[static_cast<std::size_t>(lv.gate_level[g.value])]++] = g;
+  return order;
+}
 
-Levelization levelize(const Netlist& nl) {
+/// levelize, also collecting the worklist's gate order when `worklist` is
+/// set.
+Levelization levelize_impl(const Netlist& nl, std::vector<GateId>* worklist) {
   Levelization lv;
   lv.net_level.assign(nl.net_count(), 0);
   lv.net_minlevel.assign(nl.net_count(), 0);
@@ -89,6 +103,7 @@ Levelization levelize(const Netlist& nl) {
         lv.depth = std::max(lv.depth, hi);
       },
       [&](GateId g) {
+        if (worklist) worklist->push_back(g);
         const Gate& gate = nl.gate(g);
         if (gate.inputs.empty()) {
           // Constant generators contribute level 0 to their output net.
@@ -117,16 +132,30 @@ Levelization levelize(const Netlist& nl) {
   return lv;
 }
 
+}  // namespace
+
+Levelization levelize(const Netlist& nl) { return levelize_impl(nl, nullptr); }
+
+Levelization levelize(const Netlist& nl, std::vector<GateId>& order) {
+  std::vector<GateId> worklist;
+  worklist.reserve(nl.gate_count());
+  Levelization lv = levelize_impl(nl, &worklist);
+  order = sort_by_level(worklist, lv);
+  return lv;
+}
+
+std::vector<GateId> topological_gate_order(const Netlist& nl, const Levelization& lv) {
+  // The worklist is LIFO, so the order it yields is already topological but
+  // not level-sorted.
+  std::vector<GateId> worklist;
+  worklist.reserve(nl.gate_count());
+  run_worklist(nl, [](NetId) {}, [&](GateId g) { worklist.push_back(g); });
+  return sort_by_level(worklist, lv);
+}
+
 std::vector<GateId> topological_gate_order(const Netlist& nl) {
   std::vector<GateId> order;
-  order.reserve(nl.gate_count());
-  run_worklist(nl, [](NetId) {}, [&](GateId g) { order.push_back(g); });
-  // The worklist is LIFO, so the order it yields is already topological but
-  // not level-sorted; sort stably by level for readable generated code.
-  const Levelization lv = levelize(nl);
-  std::stable_sort(order.begin(), order.end(), [&](GateId a, GateId b) {
-    return lv.gate_level[a.value] < lv.gate_level[b.value];
-  });
+  (void)levelize(nl, order);
   return order;
 }
 

@@ -28,8 +28,15 @@ struct Levelization {
 /// (a variation of topological sort; throws NetlistError on cycles).
 [[nodiscard]] Levelization levelize(const Netlist& nl);
 
+/// The same, also setting `order` to topological_gate_order(nl, result)
+/// from the same worklist pass.
+[[nodiscard]] Levelization levelize(const Netlist& nl, std::vector<GateId>& order);
+
 /// Gate indices sorted by (gate level, then zero-delay resolvers after their
-/// drivers): a valid evaluation order for compiled code generation.
+/// drivers): a valid evaluation order for compiled code generation. `lv`
+/// must be levelize(nl); the one-argument form computes both in one pass.
+[[nodiscard]] std::vector<GateId> topological_gate_order(const Netlist& nl,
+                                                         const Levelization& lv);
 [[nodiscard]] std::vector<GateId> topological_gate_order(const Netlist& nl);
 
 }  // namespace udsim

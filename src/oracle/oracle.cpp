@@ -7,8 +7,7 @@ namespace udsim {
 OracleSim::OracleSim(const Netlist& nl) : nl_(nl) {
   lower_wired_nets(nl_);
   nl_.validate();
-  lv_ = levelize(nl_);
-  order_ = topological_gate_order(nl_);
+  lv_ = levelize(nl_, order_);
   state_.assign(nl_.net_count(), 0);
   reset(0);
 }

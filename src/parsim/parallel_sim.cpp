@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <unordered_map>
 
 #include "ir/emit_util.h"
@@ -83,12 +84,13 @@ class ParallelEmitter {
   ParallelEmitter(const Netlist& nl, ParallelCompiled& out)
       : nl_(nl), out_(out), p_(out.program), W_(out.options.word_bits) {}
 
-  void run() {
+  /// Emits the gates in `order`, a topological gate order of the netlist.
+  void run(std::span<const GateId> order) {
     allocate_fields();
     emit_constants();
     emit_pi_loads();
     emit_net_inits();
-    for (GateId g : topological_gate_order(nl_)) {
+    for (GateId g : order) {
       if (!is_constant(nl_.gate(g).type)) emit_gate(g);
     }
     p_.arena_words = field_end_ + scratch_high_;
@@ -468,9 +470,19 @@ ParallelCompiled compile_parallel(const Netlist& nl, const ParallelOptions& opti
     guard.check_cancel("compile.emit");
     TraceSpan span(reg, "compile.emit");
     ParallelEmitter emitter(nl, out);
-    emitter.run();
+    emitter.run(analysis.order);
+    // A span of its own would add a counter to every compile's metrics;
+    // run ordering's time rides on the emit span as its `schedule_ns` arg.
+    const auto t0 = reg ? std::chrono::steady_clock::now()
+                        : std::chrono::steady_clock::time_point{};
     schedule_runs(out.program,
                   options.rename_scratch ? emitter.field_end() : out.program.arena_words);
+    if (reg) {
+      span.arg("schedule_ns", static_cast<std::uint64_t>(
+                                  std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                      std::chrono::steady_clock::now() - t0)
+                                      .count()));
+    }
   }
   guard.accept(out.program, kind, nl.net_count());
   if (reg) {
