@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
     const Workload w(nl.primary_inputs().size(), args.vectors, args.seed + 100);
     for (EngineKind kind : {EngineKind::ZeroDelayLcc, EngineKind::PCSet}) {
       for (int bits : supported_widths()) {
-        const auto sim = make_simulator(nl, kind, bits);
+        const auto sim = make_simulator(nl, kind, {}, bits);
         const Program& program = *sim->compiled_program();
         BatchOptions one_thread;
         one_thread.num_threads = 1;

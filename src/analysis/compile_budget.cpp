@@ -111,29 +111,33 @@ CompileCostEstimate lcc_cost(const Netlist& nl, int word_bits) {
 
 // ---- PC-set method ---------------------------------------------------------
 
-PCSets analyse_pcset(const Netlist& nl, std::span<const NetId> monitored,
-                     const CompileGuard& guard) {
+PCSetAnalysis analyse_pcset(const Netlist& nl, std::span<const NetId> monitored,
+                            const CompileGuard& guard) {
+  PCSetAnalysis a;
   const Levelization lv = [&] {
     guard.check_cancel("compile.levelize");
     TraceSpan span(guard.metrics, "compile.levelize");
-    return levelize(nl);
+    return levelize(nl, a.order);
   }();
   guard.check_cancel("compile.pcset");
   TraceSpan span(guard.metrics, "compile.pcset");
-  PCSets pc = compute_pc_sets(nl, lv);
+  PCSets& pc = a.pc;
+  pc = compute_pc_sets(nl, lv);
   insert_zeros(nl, lv, monitored, pc);
   bool print_at_zero = false;
   for (NetId m : monitored) print_at_zero |= pc.net_pc[m.value].test(0);
   if (print_at_zero) {
     for (NetId m : monitored) pc.net_pc[m.value].set(0);
   }
-  return pc;
+  return a;
 }
 
 // One variable per (net, PC element); one gate simulation per non-zero
 // element of each gate's PC-set, plus the X_0 = X_max retained-value copies.
 // Mirrors the compile_pcset loops without emitting anything.
-CompileCostEstimate pcset_cost(const Netlist& nl, const PCSets& pc, int word_bits) {
+CompileCostEstimate pcset_cost(const Netlist& nl, const PCSetAnalysis& a,
+                               int word_bits) {
+  const PCSets& pc = a.pc;
   CompileCostEstimate c{.kind = EngineKind::PCSet, .arena_words = pc.total_net_pc_size(),
                         .ops = nl.primary_inputs().size()};
   for (std::uint32_t n = 0; n < nl.net_count(); ++n) {

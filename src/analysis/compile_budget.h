@@ -101,13 +101,13 @@ struct Program;
 
 class MetricsRegistry;
 
-/// Budget + optional diagnostics sink + optional metrics registry, threaded
-/// through the guarded compiler entry points. With `metrics` set the
-/// compilers trace every phase (compile.levelize / .pcset / .alignment /
-/// .trimming / .emit spans) and record the emitted-program shape counters
-/// (DESIGN.md §5e) of every program the budget accepts; engines built
-/// through the Simulator facade adopt the same registry for their runtime
-/// counters.
+/// Budget + optional diagnostics sink + optional metrics registry, the
+/// defaulted last parameter of every compiler entry point (the default is
+/// unlimited and untraced). With `metrics` set the compilers trace every
+/// phase (compile.levelize / .pcset / .alignment / .trimming / .emit spans)
+/// and record the emitted-program shape counters (DESIGN.md §5e) of every
+/// program the budget accepts; engines built through the Simulator facade
+/// adopt the same registry for their runtime counters.
 struct CompileGuard {
   CompileBudget budget{};
   Diagnostics* diag = nullptr;
@@ -148,21 +148,27 @@ struct ParallelAnalysis {
                                                 bool trimming, int word_bits,
                                                 const CompileGuard& guard = {});
 
-/// What a PC-set compile analyses before it emits: PC-sets with zeros
+/// What a PC-set compile analyses before it emits: the topological gate
+/// order (from the one levelization) and PC-sets with zeros
 /// inserted for every gate and for the PRINT gate over `monitored`; when any
 /// monitored net retains its previous value, every monitored net gets
 /// element 0 (the PRINT gate fires at time 0). Traced and cancellable at
 /// compile.levelize / compile.pcset.
-[[nodiscard]] PCSets analyse_pcset(const Netlist& nl, std::span<const NetId> monitored,
-                                   const CompileGuard& guard = {});
+struct PCSetAnalysis {
+  std::vector<GateId> order;  ///< topological_gate_order(nl): the emission order
+  PCSets pc;
+};
+[[nodiscard]] PCSetAnalysis analyse_pcset(const Netlist& nl,
+                                          std::span<const NetId> monitored,
+                                          const CompileGuard& guard = {});
 
 /// The predicted cost counted over an analysis: what a guarded compile
 /// enforces before emitting, and what estimate_compile_cost returns.
 /// `kind` is a parallel variant or Native (its ParallelCombined base).
 [[nodiscard]] CompileCostEstimate parallel_cost(const Netlist& nl, EngineKind kind,
                                                 const ParallelAnalysis& a);
-/// Exact for the program compile_pcset emits from `pc`.
-[[nodiscard]] CompileCostEstimate pcset_cost(const Netlist& nl, const PCSets& pc,
+/// Exact for the program compile_pcset emits from `a`.
+[[nodiscard]] CompileCostEstimate pcset_cost(const Netlist& nl, const PCSetAnalysis& a,
                                              int word_bits);
 
 }  // namespace udsim

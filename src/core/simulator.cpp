@@ -149,45 +149,8 @@ class EngineAdapter final : public Simulator {
     }
   }
 
-  [[nodiscard]] BatchResult run_batch(std::span<const Bit> vectors,
-                                      const BatchRunOptions& opts) const override {
-    // Per-run overrides beat the instance-wide attachments (see
-    // BatchRunOptions): a shared cached engine stays immutable while each
-    // request brings its own token and registry.
-    MetricsRegistry* metrics = opts.metrics ? opts.metrics : metrics_;
-    const CancelToken* cancel = opts.cancel ? opts.cancel : cancel_;
-    if (batch_program(engine_) != nullptr) {
-      // The one compiled batch path; a stop raises like BatchRunner::run.
-      ResilientResult r = run_batch_resilient(
-          *this, vectors,
-          ResilientOptions{.num_threads = opts.num_threads,
-                           .cancel = cancel,
-                           .metrics = metrics,
-                           .validate = false});
-      if (r.status != RunStatus::Complete) {
-        throw Cancelled(r.status == RunStatus::Cancelled ? StopReason::Cancelled
-                                                         : StopReason::Deadline,
-                        "batch.run", r.vectors_done);
-      }
-      return std::move(r.batch);
-    }
-    // Interpreted fallback: single-threaded replay on a fresh engine, so
-    // the reset-state semantics and this instance's state both hold.
-    BatchResult r;
-    r.outputs = nl_.primary_outputs();
-    r.vectors = batch_vector_count(nl_, vectors);
-    Engine fresh(nl_);
-    fresh.set_metrics(metrics);
-    if constexpr (requires { fresh.set_cancel(cancel); }) {
-      fresh.set_cancel(cancel);
-    }
-    const std::size_t pis = nl_.primary_inputs().size();
-    r.values.reserve(r.vectors * r.outputs.size());
-    for (std::size_t v = 0; v < r.vectors; ++v) {
-      fresh.step(vectors.subspan(v * pis, pis));
-      for (NetId po : r.outputs) r.values.push_back(value_of(fresh, po));
-    }
-    return r;
+  [[nodiscard]] const CancelToken* cancel() const noexcept override {
+    return cancel_;
   }
 
  private:
@@ -240,30 +203,20 @@ ParallelOptions parallel_options(EngineKind kind) {
 /// instantiation per supported width covers the whole ladder.
 template <class Word>
 std::unique_ptr<Simulator> make_ir_adapter(const Netlist& nl, EngineKind kind,
-                                           const CompileGuard* guard) {
+                                           const CompileGuard& guard) {
   switch (kind) {
     case EngineKind::PCSet:
-      if (guard) {
-        return std::make_unique<EngineAdapter<PCSetSim<Word>>>(
-            kind, nl, std::span<const NetId>{}, *guard);
-      }
-      return std::make_unique<EngineAdapter<PCSetSim<Word>>>(kind, nl);
+      return std::make_unique<EngineAdapter<PCSetSim<Word>>>(
+          kind, nl, std::span<const NetId>{}, guard);
     case EngineKind::ZeroDelayLcc:
-      if (guard) {
-        return std::make_unique<EngineAdapter<LccSim<Word>>>(kind, nl, *guard);
-      }
-      return std::make_unique<EngineAdapter<LccSim<Word>>>(kind, nl);
+      return std::make_unique<EngineAdapter<LccSim<Word>>>(kind, nl, guard);
     case EngineKind::Parallel:
     case EngineKind::ParallelTrimmed:
     case EngineKind::ParallelPathTracing:
     case EngineKind::ParallelCycleBreaking:
     case EngineKind::ParallelCombined:
-      if (guard) {
-        return std::make_unique<EngineAdapter<ParallelSim<Word>>>(
-            kind, nl, parallel_options(kind), *guard);
-      }
       return std::make_unique<EngineAdapter<ParallelSim<Word>>>(
-          kind, nl, parallel_options(kind));
+          kind, nl, parallel_options(kind), guard);
     default:
       throw NetlistError("make_simulator: unknown engine kind");
   }
@@ -274,33 +227,30 @@ std::unique_ptr<Simulator> make_ir_adapter(const Netlist& nl, EngineKind kind,
 /// NativeError when any pipeline stage fails, and BudgetExceeded naming
 /// Native when the base program misses the budget, before any C is emitted.
 template <class Word>
-std::unique_ptr<Simulator> make_native(const Netlist& nl, const CompileGuard* guard,
+std::unique_ptr<Simulator> make_native(const Netlist& nl, const CompileGuard& guard,
                                        const NativeOptions& opts) {
   using Adapter = EngineAdapter<ParallelSim<Word>>;
-  const ParallelOptions po = parallel_options(EngineKind::Native);
   std::unique_ptr<Adapter> sim;
   try {
-    sim = guard ? std::make_unique<Adapter>(EngineKind::Native, nl, po, *guard)
-                : std::make_unique<Adapter>(EngineKind::Native, nl, po);
+    sim = std::make_unique<Adapter>(EngineKind::Native, nl,
+                                    parallel_options(EngineKind::Native), guard);
   } catch (const BudgetExceeded& e) {
     CompileCostEstimate cost = e.cost();
     cost.kind = EngineKind::Native;
     throw BudgetExceeded(cost, e.budget(), e.limit().c_str(), e.predicted());
   }
   std::unique_ptr<NativeModule> module = std::make_unique<NativeModule>(
-      *sim->compiled_program(), "parallel-combined", opts,
-      guard ? guard->metrics : nullptr);
+      *sim->compiled_program(), "parallel-combined", opts, guard.metrics);
   const PassKernel<Word> kernel = module->kernel<Word>();
   sim->attach_native(std::move(module), kernel);
   return sim;
 }
 
 std::unique_ptr<Simulator> make_simulator_impl(const Netlist& nl, EngineKind kind,
-                                               const CompileGuard* guard,
-                                               const NativeOptions* native = nullptr,
-                                               int word_bits = 32) {
+                                               const CompileGuard& guard,
+                                               const NativeOptions& native,
+                                               int word_bits) {
   std::unique_ptr<Simulator> sim = [&]() -> std::unique_ptr<Simulator> {
-    const NativeOptions nopts = native ? *native : NativeOptions{};
     switch (kind) {
       // The interpreted event engines have no word arena; width is moot.
       case EngineKind::Event2:
@@ -315,8 +265,8 @@ std::unique_ptr<Simulator> make_simulator_impl(const Netlist& nl, EngineKind kin
               "make_simulator: the native backend supports 32/64-bit words "
               "only (requested " + std::to_string(word_bits) + ")");
         }
-        if (word_bits == 64) return make_native<std::uint64_t>(nl, guard, nopts);
-        return make_native<std::uint32_t>(nl, guard, nopts);
+        if (word_bits == 64) return make_native<std::uint64_t>(nl, guard, native);
+        return make_native<std::uint32_t>(nl, guard, native);
       default:
         switch (word_bits) {
           case 64:
@@ -335,8 +285,8 @@ std::unique_ptr<Simulator> make_simulator_impl(const Netlist& nl, EngineKind kin
   // The registry that traced the compile also receives the runtime
   // counters, so one object tells the whole story of an engine's life;
   // likewise the token that could stop the compile keeps polling at runtime.
-  if (guard && guard->metrics) sim->set_metrics(guard->metrics);
-  if (guard && guard->cancel) sim->set_cancel(guard->cancel);
+  sim->set_metrics(guard.metrics);
+  sim->set_cancel(guard.cancel);
   return sim;
 }
 
@@ -375,22 +325,23 @@ class BreakerAttempt {
 
 }  // namespace
 
-std::unique_ptr<Simulator> make_simulator(const Netlist& nl, EngineKind kind) {
-  const WidthChoice w = dispatch_width(engine_width_request(kind, 0));
-  return make_simulator_impl(nl, kind, nullptr, nullptr, w.word_bits);
-}
-
-std::unique_ptr<Simulator> make_simulator(const Netlist& nl, EngineKind kind,
-                                          const CompileGuard& guard) {
-  const WidthChoice w =
-      dispatch_width(engine_width_request(kind, 0), guard.diag, guard.metrics);
-  return make_simulator_impl(nl, kind, &guard, nullptr, w.word_bits);
-}
-
-std::unique_ptr<Simulator> make_simulator(const Netlist& nl, EngineKind kind,
-                                          int word_bits) {
-  const WidthChoice w = dispatch_width(engine_width_request(kind, word_bits));
-  return make_simulator_impl(nl, kind, nullptr, nullptr, w.word_bits);
+BatchResult Simulator::run_batch(std::span<const Bit> vectors,
+                                 const BatchRunOptions& opts) const {
+  // Per-run overrides beat the instance-wide attachments (see
+  // BatchRunOptions): a shared cached engine stays immutable while each
+  // request brings its own token and registry.
+  ResilientResult r = run_batch_resilient(
+      *this, vectors,
+      ResilientOptions{.num_threads = opts.num_threads,
+                       .cancel = opts.cancel ? opts.cancel : cancel(),
+                       .metrics = opts.metrics ? opts.metrics : metrics(),
+                       .validate = false});
+  if (r.status != RunStatus::Complete) {
+    throw Cancelled(r.status == RunStatus::Cancelled ? StopReason::Cancelled
+                                                     : StopReason::Deadline,
+                    "batch.run", r.vectors_done);
+  }
+  return std::move(r.batch);
 }
 
 std::unique_ptr<Simulator> make_simulator(const Netlist& nl, EngineKind kind,
@@ -398,7 +349,7 @@ std::unique_ptr<Simulator> make_simulator(const Netlist& nl, EngineKind kind,
                                           int word_bits) {
   const WidthChoice w = dispatch_width(engine_width_request(kind, word_bits),
                                       guard.diag, guard.metrics);
-  return make_simulator_impl(nl, kind, &guard, nullptr, w.word_bits);
+  return make_simulator_impl(nl, kind, guard, NativeOptions{}, w.word_bits);
 }
 
 std::unique_ptr<Simulator> make_simulator_with_fallback(const Netlist& nl,
@@ -478,7 +429,7 @@ std::unique_ptr<Simulator> make_simulator_with_fallback(const Netlist& nl,
         kind == EngineKind::Native ? policy.native_breaker : nullptr);
     try {
       std::unique_ptr<Simulator> sim =
-          make_simulator_impl(nl, kind, &guard, &policy.native, width.word_bits);
+          make_simulator_impl(nl, kind, guard, policy.native, width.word_bits);
       // The toolchain cooperated end to end (emit → compile → dlopen →
       // dlsym): tell the breaker, so a half-open probe re-closes it.
       breaker_attempt.success();

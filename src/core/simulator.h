@@ -75,21 +75,22 @@ class Simulator {
   /// per primary input per row (its size must be a multiple of the PI
   /// count). Always computed from the engine's initial (reset) state,
   /// independent of prior step() calls, and never disturbs this instance's
-  /// incremental state. Compiled engines (Native included) run the one
-  /// batch path, run_batch_resilient without the pre-flight validation, and
-  /// raise Cancelled("batch.run") on a stop: the stream is sharded across
-  /// `opts.num_threads` workers (0 = all hardware threads) with
-  /// bit-identical results for every thread count — LCC and PC-set settle
-  /// word_bits vectors per executor pass, one per bit lane; the interpreted
-  /// event engines fall back to a single-threaded replay. See DESIGN.md §5c.
+  /// incremental state. Every engine runs the one batch path,
+  /// run_batch_resilient without the pre-flight validation, and raises
+  /// Cancelled("batch.run") on a stop. Compiled engines (Native included)
+  /// shard the stream across `opts.num_threads` workers (0 = all hardware
+  /// threads) with bit-identical results for every thread count — LCC and
+  /// PC-set settle word_bits vectors per executor pass, one per bit lane;
+  /// the interpreted event engines replay it single-threaded. See
+  /// DESIGN.md §5c.
   ///
   /// Thread safety: run_batch touches no mutable instance state, so any
   /// number of concurrent run_batch calls may share one Simulator as long
   /// as nobody concurrently calls the mutating entry points (step,
   /// set_metrics, set_cancel) — the contract the service layer's
   /// compiled-program cache relies on.
-  [[nodiscard]] virtual BatchResult run_batch(std::span<const Bit> vectors,
-                                              const BatchRunOptions& opts) const = 0;
+  [[nodiscard]] BatchResult run_batch(std::span<const Bit> vectors,
+                                      const BatchRunOptions& opts) const;
 
   /// Convenience overload with only a thread count.
   [[nodiscard]] BatchResult run_batch(std::span<const Bit> vectors,
@@ -149,38 +150,29 @@ class Simulator {
   /// run_batch() propagates the token into its shard workers. One polled
   /// branch per vector pass; zero-cost (a dead branch) when detached.
   virtual void set_cancel(const CancelToken* token) noexcept = 0;
+  /// The attached token; run_batch polls it when the run brings none.
+  [[nodiscard]] virtual const CancelToken* cancel() const noexcept = 0;
 
  protected:
   Simulator() = default;
 };
 
 /// Construct an engine over `nl` (which must already have wired nets
-/// lowered; see lower_wired_nets). The executor lane width is resolved by
-/// dispatch_width (core/width_dispatch.h) from engine_width_request: the
-/// widest available lane for the lane-packed engines (PCSet, ZeroDelayLcc,
-/// whose run_batch settles one vector per bit lane), 32 bits for the
-/// parallel variants and Native; UDSIM_FORCE_WIDTH overrides either.
-[[nodiscard]] std::unique_ptr<Simulator> make_simulator(const Netlist& nl,
-                                                        EngineKind kind);
-
-/// Guarded variant: compiled engines throw BudgetExceeded when their
-/// predicted or emitted cost crosses `guard.budget`, and record compile
-/// diagnostics into `guard.diag`.
-[[nodiscard]] std::unique_ptr<Simulator> make_simulator(const Netlist& nl,
-                                                        EngineKind kind,
-                                                        const CompileGuard& guard);
-
-/// Explicit lane-width variants: `word_bits` is 0 (the per-engine default
-/// above), kWidthWidest, or one of 32/64/128/256; an unavailable width steps down
-/// the dispatch ladder (guarded variant: recorded as a WidthFallback
-/// diagnostic in guard.diag). EngineKind::Native rejects widths above 64.
+/// lowered; see lower_wired_nets). Compiled engines throw BudgetExceeded
+/// when their predicted or emitted cost crosses `guard.budget`, and record
+/// compile diagnostics into `guard.diag`; the built engine adopts
+/// `guard.metrics` and `guard.cancel`. `word_bits` is 0, kWidthWidest, or
+/// one of 32/64/128/256, resolved by dispatch_width (core/width_dispatch.h)
+/// from engine_width_request: 0 means the widest available lane for the
+/// lane-packed engines (PCSet, ZeroDelayLcc, whose run_batch settles one
+/// vector per bit lane) and 32 bits for the parallel variants and Native;
+/// UDSIM_FORCE_WIDTH overrides either. An unavailable width steps down the
+/// dispatch ladder, recorded as a WidthFallback diagnostic in guard.diag.
+/// EngineKind::Native rejects widths above 64.
 [[nodiscard]] std::unique_ptr<Simulator> make_simulator(const Netlist& nl,
                                                         EngineKind kind,
-                                                        int word_bits);
-[[nodiscard]] std::unique_ptr<Simulator> make_simulator(const Netlist& nl,
-                                                        EngineKind kind,
-                                                        const CompileGuard& guard,
-                                                        int word_bits);
+                                                        const CompileGuard& guard = {},
+                                                        int word_bits = 0);
 
 /// Engine-selection policy for make_simulator_with_fallback: candidate
 /// engines in preference order, each gated by the same compile budget.

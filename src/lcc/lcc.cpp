@@ -15,10 +15,6 @@ std::vector<std::string> lcc_var_names(const Netlist& nl, const LccCompiled& c) 
   return names;
 }
 
-LccCompiled compile_lcc(const Netlist& nl, int word_bits) {
-  return compile_lcc(nl, word_bits, CompileGuard{});
-}
-
 LccCompiled compile_lcc(const Netlist& nl, int word_bits,
                         const CompileGuard& guard) {
   nl.validate();

@@ -25,14 +25,11 @@ struct LccCompiled {
   std::vector<std::uint32_t> def_end;
 };
 
-/// Generate the zero-delay LCC program.
-[[nodiscard]] LccCompiled compile_lcc(const Netlist& nl, int word_bits = 32);
-
-/// Guarded variant: throws BudgetExceeded when the predicted or emitted
-/// cost crosses `guard.budget`; records compile diagnostics into
-/// `guard.diag` when set.
-[[nodiscard]] LccCompiled compile_lcc(const Netlist& nl, int word_bits,
-                                      const CompileGuard& guard);
+/// Generate the zero-delay LCC program. Throws BudgetExceeded when the
+/// predicted or emitted cost crosses `guard.budget`; records compile
+/// diagnostics into `guard.diag` when set.
+[[nodiscard]] LccCompiled compile_lcc(const Netlist& nl, int word_bits = 32,
+                                      const CompileGuard& guard = {});
 
 /// Per arena word of `c`, its emit_c comment name: the net it holds.
 [[nodiscard]] std::vector<std::string> lcc_var_names(const Netlist& nl,
@@ -42,11 +39,7 @@ struct LccCompiled {
 template <class Word = std::uint32_t>
 class LccSim {
  public:
-  explicit LccSim(const Netlist& nl)
-      : nl_(nl), compiled_(compile_lcc(nl, static_cast<int>(sizeof(Word) * 8))),
-        runner_(compiled_.program) {}
-
-  LccSim(const Netlist& nl, const CompileGuard& guard)
+  explicit LccSim(const Netlist& nl, const CompileGuard& guard = {})
       : nl_(nl),
         compiled_(compile_lcc(nl, static_cast<int>(sizeof(Word) * 8), guard)),
         runner_(compiled_.program) {}

@@ -6,6 +6,7 @@
 #include <ostream>
 
 #include "harness/table.h"
+#include "obs/json.h"
 #include "obs/request_trace.h"
 
 namespace udsim {
@@ -22,26 +23,6 @@ namespace {
 [[nodiscard]] bool is_timing_key(std::string_view name) {
   return (name.size() >= 3 && name.substr(name.size() - 3) == ".ns") ||
          (name.size() >= 3 && name.substr(name.size() - 3) == ".us");
-}
-
-void append_escaped(std::string& out, std::string_view s) {
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -174,7 +155,7 @@ std::string MetricsRegistry::trace_to_json() const {
     json += first ? "\n" : ",\n";
     first = false;
     json += "  {\"name\": \"";
-    append_escaped(json, e.name);
+    json += json_escape(e.name);
     // Chrome trace timestamps are microseconds; keep ns resolution via the
     // fractional part.
     std::snprintf(buf, sizeof buf, "%" PRIu64 ".%03u", e.start_ns / 1000,
@@ -191,7 +172,7 @@ std::string MetricsRegistry::trace_to_json() const {
         if (!afirst) json += ", ";
         afirst = false;
         json += "\"";
-        append_escaped(json, key);
+        json += json_escape(key);
         json += "\": " + std::to_string(value);
       }
       json += "}";

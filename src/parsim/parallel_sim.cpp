@@ -435,10 +435,6 @@ EngineKind parallel_engine_kind(const ParallelOptions& options) noexcept {
   return EngineKind::Parallel;
 }
 
-ParallelCompiled compile_parallel(const Netlist& nl, const ParallelOptions& options) {
-  return compile_parallel(nl, options, CompileGuard{});
-}
-
 ParallelCompiled compile_parallel(const Netlist& nl, const ParallelOptions& options,
                                   const CompileGuard& guard) {
   nl.validate();

@@ -77,15 +77,12 @@ struct ParallelCompiled {
   [[nodiscard]] Probe final_probe(NetId n) const;
 };
 
+/// Throws BudgetExceeded when the predicted or emitted cost crosses
+/// `guard.budget`; records compile diagnostics (gap-word fallbacks) into
+/// `guard.diag` when set.
 [[nodiscard]] ParallelCompiled compile_parallel(const Netlist& nl,
-                                                const ParallelOptions& options = {});
-
-/// Guarded variant: throws BudgetExceeded when the predicted or emitted
-/// cost crosses `guard.budget`; records compile diagnostics (gap-word
-/// fallbacks) into `guard.diag` when set.
-[[nodiscard]] ParallelCompiled compile_parallel(const Netlist& nl,
-                                                const ParallelOptions& options,
-                                                const CompileGuard& guard);
+                                                const ParallelOptions& options = {},
+                                                const CompileGuard& guard = {});
 
 /// Per arena word of `c`, its emit_c comment name, from the field layout:
 /// `name` for a field's first word, `name.wK` for word K, empty for scratch.
@@ -111,13 +108,9 @@ struct ParallelCompiled {
 template <class Word = std::uint32_t>
 class ParallelSim {
  public:
-  explicit ParallelSim(const Netlist& nl, const ParallelOptions& options = {})
-      : nl_(nl), compiled_(make(nl, options)), runner_(compiled_.program),
-        prev_final_(nl.net_count(), 0) {}
-
-  ParallelSim(const Netlist& nl, const ParallelOptions& options,
-              const CompileGuard& guard)
-      : nl_(nl), compiled_(make(nl, options, &guard)), runner_(compiled_.program),
+  explicit ParallelSim(const Netlist& nl, const ParallelOptions& options = {},
+                       const CompileGuard& guard = {})
+      : nl_(nl), compiled_(make(nl, options, guard)), runner_(compiled_.program),
         prev_final_(nl.net_count(), 0) {}
 
   // runner_ references compiled_.program; relocation would dangle.
@@ -169,10 +162,9 @@ class ParallelSim {
 
  private:
   static ParallelCompiled make(const Netlist& nl, ParallelOptions options,
-                               const CompileGuard* guard = nullptr) {
+                               const CompileGuard& guard) {
     options.word_bits = static_cast<int>(sizeof(Word) * 8);
-    return guard ? compile_parallel(nl, options, *guard)
-                 : compile_parallel(nl, options);
+    return compile_parallel(nl, options, guard);
   }
 
   const Netlist& nl_;

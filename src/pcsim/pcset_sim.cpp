@@ -42,11 +42,6 @@ std::vector<std::string> pcset_var_names(const Netlist& nl,
 }
 
 PCSetCompiled compile_pcset(const Netlist& nl, std::span<const NetId> monitored,
-                            int word_bits) {
-  return compile_pcset(nl, monitored, word_bits, CompileGuard{});
-}
-
-PCSetCompiled compile_pcset(const Netlist& nl, std::span<const NetId> monitored,
                             int word_bits, const CompileGuard& guard) {
   nl.validate();
   for (const Net& n : nl.nets()) {
@@ -63,10 +58,11 @@ PCSetCompiled compile_pcset(const Netlist& nl, std::span<const NetId> monitored,
     out.monitored = nl.primary_outputs();
   }
 
-  const PCSets pc = analyse_pcset(nl, out.monitored, guard);
+  const PCSetAnalysis a = analyse_pcset(nl, out.monitored, guard);
+  const PCSets& pc = a.pc;
   if (!guard.budget.unlimited()) {
     // Exact, from the zero-inserted sets the emission below reads.
-    guard.enforce(pcset_cost(nl, pc, word_bits), /*predicted=*/true);
+    guard.enforce(pcset_cost(nl, a, word_bits), /*predicted=*/true);
   }
   guard.check_cancel("compile.emit");
   TraceSpan emit_span_outer(reg, "compile.emit");
@@ -121,7 +117,7 @@ PCSetCompiled compile_pcset(const Netlist& nl, std::span<const NetId> monitored,
   }
   // 3. Gate simulations in levelized order, one per PC-set element.
   std::vector<std::uint32_t> operands;
-  for (GateId gid : topological_gate_order(nl)) {
+  for (GateId gid : a.order) {
     const Gate& g = nl.gate(gid);
     if (is_constant(g.type)) continue;
     const int d = nl.delay(gid);

@@ -47,17 +47,12 @@ struct PCSetCompiled {
 
 /// Compile. `monitored` defaults (empty span) to the primary outputs.
 /// Inputs load as whole words: one independent vector stream per bit lane.
+/// Throws BudgetExceeded when the predicted or emitted cost crosses
+/// `guard.budget`; records compile diagnostics into `guard.diag` when set.
 [[nodiscard]] PCSetCompiled compile_pcset(const Netlist& nl,
                                           std::span<const NetId> monitored = {},
-                                          int word_bits = 32);
-
-/// Guarded variant: throws BudgetExceeded when the predicted or emitted
-/// cost crosses `guard.budget`; records compile diagnostics into
-/// `guard.diag` when set.
-[[nodiscard]] PCSetCompiled compile_pcset(const Netlist& nl,
-                                          std::span<const NetId> monitored,
-                                          int word_bits,
-                                          const CompileGuard& guard);
+                                          int word_bits = 32,
+                                          const CompileGuard& guard = {});
 
 /// The paper's variable names (`D_0`, `E_2`: net name, PC-set element) of
 /// every arena word of `c`, indexed by arena word; derived from
@@ -71,13 +66,8 @@ struct PCSetCompiled {
 template <class Word = std::uint32_t>
 class PCSetSim {
  public:
-  PCSetSim(const Netlist& nl, std::span<const NetId> monitored = {})
-      : nl_(nl),
-        compiled_(compile_pcset(nl, monitored, static_cast<int>(sizeof(Word) * 8))),
-        runner_(compiled_.program) {}
-
-  PCSetSim(const Netlist& nl, std::span<const NetId> monitored,
-           const CompileGuard& guard)
+  PCSetSim(const Netlist& nl, std::span<const NetId> monitored = {},
+           const CompileGuard& guard = {})
       : nl_(nl),
         compiled_(compile_pcset(nl, monitored,
                                 static_cast<int>(sizeof(Word) * 8), guard)),

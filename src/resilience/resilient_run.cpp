@@ -1,5 +1,6 @@
 #include "resilience/resilient_run.h"
 
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -77,17 +78,23 @@ ResilientResult run_batch_resilient(const Simulator& sim,
 
   const Program* program = sim.compiled_program();
   if (program == nullptr) {
-    // Interpreted engine: cancellation still works (the engine polls between
-    // vectors), but there is no word arena to snapshot, so an early stop
-    // cannot checkpoint — partial rows are discarded. The token and registry
-    // ride in as per-run overrides so a shared const engine needs no
-    // set_cancel/set_metrics mutation (service layer contract).
+    // Interpreted engine: a single-threaded replay on a fresh engine, so the
+    // reset-state semantics and `sim`'s own state both hold. Only the
+    // options' token and registry reach the replay, so a shared const engine
+    // needs no set_cancel/set_metrics mutation (service layer contract).
+    // Cancellation still works (the engine polls between vectors), but there
+    // is no word arena to snapshot, so an early stop cannot checkpoint —
+    // partial rows are discarded.
+    const std::unique_ptr<Simulator> fresh = make_simulator(nl, sim.kind());
+    fresh->set_metrics(opts.metrics);
+    fresh->set_cancel(opts.cancel);
+    const std::size_t pis = nl.primary_inputs().size();
+    r.batch.values.reserve(count * r.batch.outputs.size());
     try {
-      r.batch = sim.run_batch(vectors, BatchRunOptions{
-                                           .num_threads = opts.num_threads,
-                                           .cancel = opts.cancel,
-                                           .metrics = opts.metrics,
-                                       });
+      for (std::size_t v = 0; v < count; ++v) {
+        fresh->step(vectors.subspan(v * pis, pis));
+        for (NetId po : r.batch.outputs) r.batch.values.push_back(fresh->final_value(po));
+      }
       r.vectors_done = count;
     } catch (const Cancelled& e) {
       r.status = e.reason() == StopReason::Deadline ? RunStatus::DeadlineExpired

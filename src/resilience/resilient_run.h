@@ -5,11 +5,11 @@
 // cancellation, checkpoint/resume, deterministic fault injection and shard
 // retry-with-quarantine. For a compiled engine (Native included: its shards
 // run the dlopen'd pass kernel) it validates the engine's program, then
-// drives BatchRunner::run_resilient — the path Simulator::run_batch takes
-// too, minus the validation; for the interpreted event
-// engines (no compiled program, state not captured in a word arena) it still
-// honors cancellation but cannot produce a checkpoint — `resumable` is false
-// and an early stop discards the partial rows.
+// drives BatchRunner::run_resilient; for the interpreted event engines (no
+// compiled program, state not captured in a word arena) it replays the
+// stream through a fresh engine, which honors cancellation but cannot
+// produce a checkpoint — `resumable` is false and an early stop discards the
+// partial rows. Simulator::run_batch is this function minus the validation.
 #pragma once
 
 #include <chrono>

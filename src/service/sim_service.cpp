@@ -600,7 +600,6 @@ void SimService::run_one(const std::shared_ptr<Pending>& p,
           policy.budget = cfg_.admission;
           policy.metrics = &metrics_;
           policy.cancel = &p->token;
-          policy.validate = cfg_.validate;
           policy.native = cfg_.native;
           // One breaker spans every request's native attempt: the toolchain
           // is a service-wide dependency, and an outage discovered by one
@@ -683,11 +682,10 @@ void SimService::run_one(const std::shared_ptr<Pending>& p,
   ropts.num_threads = threads;
   ropts.cancel = &p->token;
   ropts.inject = cfg_.inject;
-  ropts.retry_limit = cfg_.shard_retry_limit;
   ropts.metrics = &metrics_;
   ropts.resume = p->req.resume.get();
-  // The program was validated once at build time (cfg_.validate); re-running
-  // the validator per request would be pure overhead.
+  // The program was validated once at build time (SimPolicy::validate);
+  // re-running the validator per request would be pure overhead.
   ropts.validate = false;
 
   const Clock::time_point run_start = Clock::now();

@@ -110,14 +110,10 @@ struct ServiceConfig {
   /// Default per-request batch worker threads (0 = all hardware threads);
   /// shed levels may cap it, SimRequest::batch_threads overrides it.
   unsigned batch_threads = 2;
-  /// Per-shard retries before quarantine (the PR 4 layer inside one run).
-  unsigned shard_retry_limit = 2;
   /// Whole-run re-attempts with backoff for transient failures
   /// (InjectedFault, bad_alloc, NativeError).
   RetryPolicy retry{};
   LoadShedPolicy shed{};
-  /// Run the ProgramValidator over every compiled engine at build time.
-  bool validate = true;
   /// Deterministic fault injection for the batch phase (tests/bench only).
   FaultInjector* inject = nullptr;
   /// Executor lane width request, resolved once at construction by

@@ -238,14 +238,14 @@ TEST(BatchRunner, LanePackedEdgeCountsMatchStepReplay) {
   for (int w : supported_widths()) {
     const std::size_t lanes = static_cast<std::size_t>(w);
     for (EngineKind kind : {EngineKind::ZeroDelayLcc, EngineKind::PCSet}) {
-      const auto sim = make_simulator(nl, kind, w);
+      const auto sim = make_simulator(nl, kind, {}, w);
       const Program& program = *sim->compiled_program();
       const std::vector<ArenaProbe> probes = sim->output_probes();
       for (std::size_t count : {std::size_t{1}, lanes - 1, lanes, lanes + 1,
                                 std::size_t{70}}) {
         const auto in = random_inputs(pis, count, 1000 + count);
         std::vector<Bit> expect;
-        const auto replay = make_simulator(nl, kind, w);
+        const auto replay = make_simulator(nl, kind, {}, w);
         for (std::size_t v = 0; v < count; ++v) {
           replay->step(std::span<const Bit>(in).subspan(v * pis, pis));
           for (NetId po : nl.primary_outputs()) expect.push_back(replay->final_value(po));

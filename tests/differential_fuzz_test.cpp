@@ -202,7 +202,7 @@ TEST(DifferentialFuzz, WideLanesAgreeWithOracleOnRandomCircuits) {
 
     for (int w : widths) {
       for (EngineKind k : kWideEngines) {
-        const auto sim = make_simulator(nl, k, w);
+        const auto sim = make_simulator(nl, k, {}, w);
         const BatchResult br = sim->run_batch(flat, 1);
         ASSERT_EQ(br.values, expect)
             << "engine '" << engine_name(k) << "' at " << w
@@ -211,7 +211,7 @@ TEST(DifferentialFuzz, WideLanesAgreeWithOracleOnRandomCircuits) {
       }
       for (EngineKind k : {EngineKind::ZeroDelayLcc, EngineKind::PCSet}) {
         MetricsRegistry reg;
-        const auto sim = make_simulator(nl, k, w);
+        const auto sim = make_simulator(nl, k, {}, w);
         const BatchResult br = sim->run_batch(
             flat, BatchRunOptions{.num_threads = 1 + static_cast<unsigned>(seed % 4),
                                   .metrics = &reg});

@@ -267,7 +267,7 @@ TEST(FallbackChain, NullDiagnosticsSinkIsAccepted) {
   EXPECT_EQ(sim->kind(), EngineKind::ZeroDelayLcc);
 }
 
-// The guarded make_simulator overload enforces the budget on a single
+// make_simulator with a guard enforces the budget on a single
 // engine without any fallback.
 TEST(FallbackChain, GuardedMakeSimulatorThrowsInsteadOfFallingBack) {
   const Netlist nl = deep_reconvergent();

@@ -32,7 +32,7 @@ TEST_P(LaneParallelProfileTest, LccAndPcsetQualifyParallelVariantsDoNot) {
   const Netlist nl = make_iscas85_like(GetParam());
   for (int w : supported_widths()) {
     for (EngineKind kind : kCompiledKinds) {
-      const auto sim = make_simulator(nl, kind, w);
+      const auto sim = make_simulator(nl, kind, {}, w);
       const bool want = kind == EngineKind::ZeroDelayLcc || kind == EngineKind::PCSet;
       EXPECT_EQ(lane_parallel(*sim->compiled_program(), sim->output_probes()), want)
           << GetParam() << " × " << engine_name(kind) << " × " << w << " bits";

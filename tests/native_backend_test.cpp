@@ -386,7 +386,7 @@ TEST(NativeSimulatorTest, DispatchedWidthIsTheProgramAndModuleWidth) {
     EXPECT_EQ(stepped, expect) << bits << "-bit step";
   }
   // The plain factory honors an explicit width too; wider ones are refused.
-  auto direct = make_simulator(nl, EngineKind::Native, 64);
+  auto direct = make_simulator(nl, EngineKind::Native, {}, 64);
   EXPECT_EQ(direct->compiled_program()->word_bits, 64);
   EXPECT_EQ(direct->native_module()->word_bits(), 64);
   EXPECT_EQ(direct->run_batch(stream, 1).values, expect);

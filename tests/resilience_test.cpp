@@ -179,6 +179,9 @@ TEST(Cancellation, GuardedCompilersStopAtPhaseBoundaries) {
   }
 }
 
+// The one batch body treats a compiled and an interpreted engine alike: a
+// stop raises at "batch.run", the per-run token beats the instance token,
+// and run_batch_resilient reads only its options' token.
 TEST(Cancellation, SimulatorFacadeStepAndBatchHonorTheToken) {
   const Netlist nl = test_dag(4);
   const auto flat = bit_stream(nl.primary_inputs().size(), 30, 44);
@@ -186,15 +189,41 @@ TEST(Cancellation, SimulatorFacadeStepAndBatchHonorTheToken) {
     const auto sim = make_simulator(nl, kind);
     CancelToken token;
     sim->set_cancel(&token);
-    EXPECT_NO_THROW((void)sim->run_batch(flat, 2));
+    EXPECT_EQ(sim->cancel(), &token);
+    const BatchResult clean = sim->run_batch(flat, 2);
     token.request_cancel();
-    EXPECT_THROW((void)sim->run_batch(flat, 2), Cancelled) << engine_name(kind);
+    try {
+      (void)sim->run_batch(flat, 2);
+      ADD_FAILURE() << engine_name(kind) << ": stopped run_batch did not throw";
+    } catch (const Cancelled& e) {
+      EXPECT_EQ(e.site(), "batch.run") << engine_name(kind);
+      EXPECT_EQ(e.reason(), StopReason::Cancelled) << engine_name(kind);
+    }
     EXPECT_THROW(sim->step(std::span<const Bit>(flat.data(),
                                                 nl.primary_inputs().size())),
                  Cancelled)
         << engine_name(kind);
-    sim->set_cancel(nullptr);
+
+    // A live per-run token beats the stopped instance token.
+    const CancelToken live;
+    const BatchResult overridden =
+        sim->run_batch(flat, BatchRunOptions{.num_threads = 2, .cancel = &live});
+    EXPECT_EQ(overridden.values, clean.values) << engine_name(kind);
+
+    // run_batch_resilient takes no token from the instance.
+    const ResilientResult r =
+        run_batch_resilient(*sim, flat, ResilientOptions{.num_threads = 2});
+    EXPECT_EQ(r.status, RunStatus::Complete) << engine_name(kind);
+    EXPECT_EQ(r.vectors_done, 30u) << engine_name(kind);
+    EXPECT_EQ(r.batch.values, clean.values) << engine_name(kind);
+
+    // A stopped per-run token beats a live instance token.
+    sim->set_cancel(&live);
     EXPECT_NO_THROW((void)sim->run_batch(flat, 2));
+    EXPECT_THROW((void)sim->run_batch(
+                     flat, BatchRunOptions{.num_threads = 2, .cancel = &token}),
+                 Cancelled)
+        << engine_name(kind);
   }
 }
 
@@ -422,7 +451,7 @@ TEST(BatchResilience, MidGroupStopRunsExactlyTheLanesBeforeIt) {
   const Netlist nl = test_dag(16);
   for (EngineKind kind : {EngineKind::ZeroDelayLcc, EngineKind::PCSet}) {
     // 32 lanes: the 100-vector, 2-shard geometry below assumes them.
-    const auto sim = make_simulator(nl, kind, 32);
+    const auto sim = make_simulator(nl, kind, {}, 32);
     const Program& program = *sim->compiled_program();
     const std::vector<ArenaProbe> probes = sim->output_probes();
     const std::size_t count = 100;

@@ -143,6 +143,46 @@ TEST(ServiceTest, CachedEntryOutlivesBuildingClientsNetlist) {
   EXPECT_EQ(r.batch.values, expect.values);
 }
 
+TEST(ServiceTest, CacheByteBudgetEvictsTheLeastRecentlyUsedEntry) {
+  const auto c432 = circuit("c432");
+  const auto c880 = circuit("c880");
+  const std::vector<Bit> s432 = stream_for(*c432, 32);
+  const std::vector<Bit> s880 = stream_for(*c880, 32);
+  const BatchResult expect432 = direct_run(*c432, s432);
+  const BatchResult expect880 = direct_run(*c880, s880);
+
+  // The resident charge of one compiled c432 entry, from an unbounded cache.
+  std::size_t one_c432 = 0;
+  {
+    SimService probe;
+    const SimResponse r =
+        probe.run(0, SimRequest{.netlist = c432, .vectors = s432});
+    ASSERT_EQ(r.outcome, Outcome::Completed) << r.detail;
+    one_c432 = probe.stats().cache_bytes;
+  }
+  ASSERT_GT(one_c432, 0u);
+
+  // Holds one c432 entry, not two: a second entry always evicts the first.
+  ServiceConfig cfg;
+  cfg.cache_budget_bytes = one_c432;
+  SimService svc(cfg);
+  const bool is432[] = {true, false, true, false};
+  for (std::size_t i = 0; i < std::size(is432); ++i) {
+    const SimResponse r = svc.run(
+        0, SimRequest{.netlist = is432[i] ? c432 : c880,
+                      .vectors = is432[i] ? s432 : s880});
+    ASSERT_EQ(r.outcome, Outcome::Completed) << "request " << i << ": " << r.detail;
+    EXPECT_EQ(r.batch.values, (is432[i] ? expect432 : expect880).values)
+        << "request " << i;
+    EXPECT_FALSE(r.cache_hit) << "request " << i << " hit an evicted entry";
+    EXPECT_EQ(svc.stats().cache_entries, 1u) << "request " << i;
+  }
+  const auto snap = svc.metrics().snapshot();
+  EXPECT_GE(snap.at("service.cache.evicted"), 1u);
+  EXPECT_EQ(snap.at("service.cache.miss"), 4u);
+  EXPECT_EQ(snap.count("service.cache.hit") ? snap.at("service.cache.hit") : 0u, 0u);
+}
+
 TEST(ServiceTest, BackpressureProducesStructuredQueueFull) {
   const auto heavy = circuit("c6288");
   const std::vector<Bit> heavy_stream = stream_for(*heavy, 50000);

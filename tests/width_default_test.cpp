@@ -1,6 +1,6 @@
 // Per-engine default lane width (core/width_dispatch.h, DESIGN.md §5j): an
 // unset width request gives the lane-packed engines (PC-set, LCC) the
-// widest available lane through every make_simulator overload, and keeps
+// widest available lane through every make_simulator call form, and keeps
 // the parallel variants and Native at 32 bits. Explicit widths and
 // UDSIM_FORCE_WIDTH still win; the fallback chain and SimService still
 // resolve one 32-bit width for all their engines. Default-built PC-set and
@@ -35,10 +35,10 @@ constexpr EngineKind kParallel[] = {
 };
 
 /// The lane width an engine was compiled at, and the `dispatch.width` gauge
-/// the guarded overloads record; built through each make_simulator
-/// overload in turn with an unset (0) or explicit width request.
+/// a guard's registry records; built through make_simulator with and
+/// without a guard, with the width omitted or passed as 0.
 struct Built {
-  int plain = 0;         ///< make_simulator(nl, kind[, word_bits])
+  int plain = 0;         ///< make_simulator(nl, kind[, {}, word_bits])
   int guarded = 0;       ///< make_simulator(nl, kind, guard[, word_bits])
   std::uint64_t gauge = 0;
 };
@@ -49,7 +49,7 @@ Built build_both(const Netlist& nl, EngineKind kind, bool with_width, int word_b
   MetricsRegistry reg;
   const CompileGuard guard{CompileBudget{}, nullptr, &reg};
   Built b;
-  b.plain = with_width ? width_of(*make_simulator(nl, kind, word_bits))
+  b.plain = with_width ? width_of(*make_simulator(nl, kind, {}, word_bits))
                        : width_of(*make_simulator(nl, kind));
   b.guarded = with_width ? width_of(*make_simulator(nl, kind, guard, word_bits))
                          : width_of(*make_simulator(nl, kind, guard));
@@ -57,8 +57,8 @@ Built build_both(const Netlist& nl, EngineKind kind, bool with_width, int word_b
   return b;
 }
 
-/// Every overload with an unset width: the two-argument and guarded ones
-/// that take no width, and the two that take `word_bits = 0`.
+/// Every call form with an unset width: with and without a guard, the width
+/// omitted or passed as `word_bits = 0`.
 void expect_unset_width(const Netlist& nl, EngineKind kind, int want) {
   for (const bool with_width : {false, true}) {
     const Built b = build_both(nl, kind, with_width, 0);
@@ -133,7 +133,7 @@ TEST(WidthDefault, ExplicitWidthsWin) {
     }
   }
   // kWidthWidest widens the parallel variants too when asked for.
-  EXPECT_EQ(width_of(*make_simulator(nl, EngineKind::ParallelCombined, kWidthWidest)),
+  EXPECT_EQ(width_of(*make_simulator(nl, EngineKind::ParallelCombined, {}, kWidthWidest)),
             widest_width());
 }
 
@@ -145,7 +145,7 @@ TEST(WidthDefault, ForceWidthWinsOverTheEngineDefault) {
     for (EngineKind kind : kLanePacked) expect_unset_width(nl, kind, w);
     expect_unset_width(nl, EngineKind::ParallelCombined, w);
     // An explicit request is overridden as well.
-    EXPECT_EQ(width_of(*make_simulator(nl, EngineKind::PCSet, 64)), w);
+    EXPECT_EQ(width_of(*make_simulator(nl, EngineKind::PCSet, {}, 64)), w);
   }
 }
 
@@ -205,7 +205,7 @@ TEST_P(WidthDefaultProfileTest, DefaultBatchesMatch32BitEngineAndOracle) {
   const std::vector<Bit> flat = make_stream(nl, count, 0xd1f7ull);
   const std::vector<Bit> expect = oracle_rows(nl, flat, count);
   for (EngineKind kind : kLanePacked) {
-    const auto narrow = make_simulator(nl, kind, 32);
+    const auto narrow = make_simulator(nl, kind, {}, 32);
     const auto wide = make_simulator(nl, kind);
     ASSERT_EQ(width_of(*wide), widest_width()) << engine_name(kind);
     for (const unsigned threads : {1u, 2u}) {

@@ -1,6 +1,6 @@
 // Runtime lane-width dispatch tests (core/width_dispatch.h, DESIGN.md §5j):
 // the UDSIM_FORCE_WIDTH override, the fallback ladder with its structured
-// WidthFallback diagnostic and dispatch.* counters, the facade overloads
+// WidthFallback diagnostic and dispatch.* counters, make_simulator calls
 // that carry a width request, and the KernelRunner word-size-mismatch
 // regression (a program compiled at one width handed to a runner at
 // another must surface as a structured ProgramWordSize diagnostic, not a
@@ -64,10 +64,10 @@ TEST(WidthDispatch, ExplicitAvailableWidthsDispatchExactly) {
     EXPECT_FALSE(c.fell_back);
     EXPECT_EQ(reg.counter("dispatch.width").value(),
               static_cast<std::uint64_t>(w));
-    // The facade overload compiles the engine at exactly that width.
+    // make_simulator compiles the engine at exactly that width.
     for (EngineKind kind : {EngineKind::ZeroDelayLcc, EngineKind::PCSet,
                             EngineKind::ParallelCombined}) {
-      const auto sim = make_simulator(nl, kind, w);
+      const auto sim = make_simulator(nl, kind, {}, w);
       ASSERT_NE(sim->compiled_program(), nullptr) << engine_name(kind);
       EXPECT_EQ(sim->compiled_program()->word_bits, w) << engine_name(kind);
     }
@@ -152,7 +152,7 @@ TEST(WidthDispatch, NativeEngineRejectsWideWidths) {
   const test::ScopedEnv clear("UDSIM_FORCE_WIDTH", nullptr);
   const Netlist nl = make_iscas85_like("c432");
   if (!width_available(128)) GTEST_SKIP() << "no 128-bit lane on this build";
-  EXPECT_THROW((void)make_simulator(nl, EngineKind::Native, 128),
+  EXPECT_THROW((void)make_simulator(nl, EngineKind::Native, {}, 128),
                std::invalid_argument);
 }
 

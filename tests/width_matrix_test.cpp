@@ -117,7 +117,7 @@ TEST(WidthMatrix, WideBatchIsThreadCountInvariant) {
   const Netlist nl = make_iscas85_like("c880");
   const std::vector<Bit> flat = make_stream(nl, kVectors, 0x5151ull);
   for (int w : supported_widths()) {
-    const auto sim = make_simulator(nl, EngineKind::ParallelCombined, w);
+    const auto sim = make_simulator(nl, EngineKind::ParallelCombined, {}, w);
     const BatchResult seq = sim->run_batch(flat, 1);
     for (unsigned threads : {2u, 4u}) {
       const BatchResult par = sim->run_batch(flat, threads);
@@ -143,7 +143,7 @@ TEST(WidthMatrix, PackedRunnerMatchesScalarRowsAtEveryWidth) {
     for (int w : supported_widths()) {
       for (EngineKind kind : {EngineKind::ZeroDelayLcc, EngineKind::PCSet}) {
         MetricsRegistry reg;
-        const auto sim = make_simulator(nl, kind, w);
+        const auto sim = make_simulator(nl, kind, {}, w);
         sim->set_metrics(&reg);
         const BatchResult r = sim->run_batch(flat, 1);
         EXPECT_EQ(r.vectors, kVectors);

@@ -37,7 +37,7 @@ std::vector<udsim::Bit> run_rows(const udsim::Netlist& nl, int word_bits,
   for (std::size_t v = 0; v < vectors; ++v) {
     src.next(std::span<Bit>(flat.data() + v * pis, pis));
   }
-  const auto sim = make_simulator(nl, EngineKind::ZeroDelayLcc, word_bits);
+  const auto sim = make_simulator(nl, EngineKind::ZeroDelayLcc, {}, word_bits);
   if (sim->compiled_program()->word_bits != word_bits) {
     std::fprintf(stderr, "requested %d-bit lanes, dispatched %d\n", word_bits,
                  sim->compiled_program()->word_bits);
