@@ -7,6 +7,16 @@
 // timed region. Both are reported in microseconds per pass (min / median /
 // max over --trials), and their difference is the lane I/O.
 //
+// A second table covers the word lanes of the paper's parallel technique
+// (ParallelCombined at 32 bits, DESIGN.md §5c): the program alone at one
+// vector per pass (execute<uint32_t>) and at eight vectors per pass, one
+// per word lane (execute<u32x8>), next to one-thread run_batch, all in
+// microseconds per vector, with the 8-lane arena's size. It is the table
+// that sets BatchRunner's lane-arena cap. Besides ISCAS profile names,
+// --circuits takes `dagNk` (perfbench build's N-thousand-gate DAG shape)
+// and `multN` (an N×N array multiplier); those join only this table, and
+// run at most as many vectors as keep one trial near 10^9 ops.
+//
 //   ablation_lane_io [--vectors N] [--trials T] [--seed S] [--circuits a,b]
 #include <algorithm>
 #include <chrono>
@@ -19,6 +29,8 @@
 #include "core/batch_runner.h"
 #include "core/simulator.h"
 #include "core/width_dispatch.h"
+#include "gen/arithmetic.h"
+#include "gen/random_dag.h"
 #include "harness/table.h"
 #include "ir/wide_word.h"
 
@@ -95,6 +107,58 @@ Spread time_program_any(const Program& program, const bench::Workload& w,
   }
 }
 
+/// An ISCAS profile, `dagNk` or `multN` (see the header comment); sets
+/// `generated` for the last two.
+Netlist make_circuit(const std::string& name, std::uint64_t seed,
+                     bool* generated) {
+  *generated = true;
+  if (name.rfind("dag", 0) == 0 && name.size() > 4 && name.back() == 'k') {
+    RandomDagParams p;
+    p.name = name;
+    p.inputs = 256;
+    p.outputs = 128;
+    p.gates = std::stoul(name.substr(3, name.size() - 4)) * 1000;
+    p.depth = 120;
+    p.seed = seed;
+    return random_dag(p);
+  }
+  if (name.rfind("mult", 0) == 0 && name.size() > 4) {
+    const int bits = std::stoi(name.substr(4));
+    return array_multiplier(bits, bits, name);
+  }
+  *generated = false;
+  return make_iscas85_like(name, seed);
+}
+
+/// The program alone, µs per vector: `Word` = uint32_t runs one vector per
+/// pass, u32x8 eight (vector 8p + k in word lane k of pass p). Input words
+/// are built outside the timed region.
+template <class Word>
+Spread time_word_lanes(const Program& program, const bench::Workload& w,
+                       int trials) {
+  constexpr std::size_t L = kWordLanes<Word>;
+  const std::size_t passes = (w.vectors + L - 1) / L;
+  std::vector<Word> in(w.inputs * passes);
+  for (std::size_t v = 0; v < w.vectors; ++v) {
+    for (std::size_t i = 0; i < w.inputs; ++i) {
+      const std::uint32_t bit = w.bits[v * w.inputs + i] & 1u;
+      if constexpr (L > 1) {
+        in[(v / L) * w.inputs + i].lane[v % L] = bit;
+      } else {
+        in[v * w.inputs + i] = bit;
+      }
+    }
+  }
+  KernelRunner<Word> runner(program);
+  return us_per_pass(
+      [&] {
+        for (std::size_t p = 0; p < passes; ++p) {
+          runner.run(std::span<const Word>(in.data() + p * w.inputs, w.inputs));
+        }
+      },
+      w.vectors, trials);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -106,10 +170,15 @@ int main(int argc, char** argv) {
 
   Table table({"circuit", "engine", "width", "batch us/pass", "program us/pass",
                "I/O share", "batch vec/s"});
+  Table lanes({"circuit", "vectors", "lane arena KB", "word lanes",
+               "1 lane us/vec", "8 lanes us/vec", "program gain",
+               "run_batch us/vec"});
   for (const std::string& name : args.circuit_names()) {
-    const Netlist nl = make_iscas85_like(name, args.seed);
+    bool generated = false;
+    const Netlist nl = make_circuit(name, args.seed, &generated);
     const Workload w(nl.primary_inputs().size(), args.vectors, args.seed + 100);
     for (EngineKind kind : {EngineKind::ZeroDelayLcc, EngineKind::PCSet}) {
+      if (generated) break;
       for (int bits : supported_widths()) {
         const auto sim = make_simulator(nl, kind, {}, bits);
         const Program& program = *sim->compiled_program();
@@ -127,7 +196,33 @@ int main(int argc, char** argv) {
                        Table::num(batch.lanes_per_pass() / run.median * 1e6, 0)});
       }
     }
+
+    const auto sim = make_simulator(nl, EngineKind::ParallelCombined, {}, 32);
+    const Program& program = *sim->compiled_program();
+    const std::size_t ops = std::max<std::size_t>(1, program.ops.size());
+    const std::size_t n = std::min(
+        args.vectors, std::max<std::size_t>(64, 1'000'000'000 / ops / 8 * 8));
+    const Workload pw(nl.primary_inputs().size(), n, args.seed + 200);
+    BatchOptions one_thread;
+    one_thread.num_threads = 1;
+    BatchRunner batch(program, sim->output_probes(), one_thread);
+    const Spread run =
+        us_per_pass([&] { (void)batch.run(pw.bits, n); }, n, args.trials);
+    const Spread one = time_word_lanes<std::uint32_t>(program, pw, args.trials);
+    std::string eight = "-", gain = "-";
+    if (width_available(256)) {
+      const Spread e = time_word_lanes<u32x8>(program, pw, args.trials);
+      eight = fmt(e);
+      gain = Table::num(one.median / e.median, 1) + "x";
+    }
+    lanes.add_row({name, std::to_string(n),
+                   Table::num(static_cast<double>(program.arena_words) *
+                                  sizeof(u32x8) / 1024.0, 0),
+                   std::to_string(batch.word_lanes()), fmt(one), eight, gain,
+                   fmt(run)});
   }
   table.print(std::cout);
+  std::printf("\nParallelCombined at 32 bits: word lanes (us per vector, 1 thread)\n\n");
+  lanes.print(std::cout);
   return 0;
 }

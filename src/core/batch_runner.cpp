@@ -1,6 +1,7 @@
 #include "core/batch_runner.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <chrono>
 #include <cstring>
@@ -25,6 +26,11 @@ namespace {
       p.word_bits > 64 ? static_cast<std::size_t>(p.word_bits) / 64 : 1;
   return p.arena_words * lanes;
 }
+
+/// Largest 8-lane arena (arena words × 32 bytes) a shard runs as word lanes;
+/// each thread holds one. Above it a shard keeps one vector per pass:
+/// EXPERIMENTS.md Ablation F sets the cap.
+constexpr std::size_t kWordLaneArenaCap = std::size_t{1} << 20;
 
 [[nodiscard]] std::uint64_t shard_now_ns() {
   return static_cast<std::uint64_t>(
@@ -150,6 +156,11 @@ BatchRunner::BatchRunner(const Program& program, std::vector<ArenaProbe> probes,
   if (options_.min_chunk == 0) options_.min_chunk = 1;
   if (lane_parallel(program_, probes_)) {
     lanes_ = static_cast<unsigned>(program_.word_bits);
+  } else if (program_.word_bits == 32 && options_.native == nullptr &&
+             width_available(256) &&
+             program_.arena_words * sizeof(u32x8) <= kWordLaneArenaCap) {
+    word_lanes_ = kWordLanes<u32x8>;
+    KernelRunner<std::uint32_t>(program_).save_arena(reset_arena_);
   }
   exec_ = ExecCounters::attach(options_.metrics, program_, options_.extra_pass_cost);
   if (threads_ > 1) pool_.emplace(threads_ - 1);
@@ -168,19 +179,31 @@ template <class Word>
 void BatchRunner::run_shard(std::span<const Bit> inputs,
                             std::size_t shard_index, ShardSlot& slot,
                             std::span<Bit> out, unsigned attempt) {
-  if (slot.next >= slot.end) return;  // resumed already-finished shard
+  // L slices run in lockstep, slice k in word lane k (L = 1 but for u32x8).
+  constexpr unsigned L = kWordLanes<Word>;
+  std::vector<ShardCheckpoint>& slices = slot.slices;
+  // Each slice's first unexecuted vector; written back to `slot` only when
+  // the attempt ends cleanly, so a failed attempt leaves `slot` untouched.
+  std::array<std::size_t, L> cur;
+  for (unsigned k = 0; k < L; ++k) cur[k] = slices[k].next;
+  const auto open = [&](unsigned k) { return cur[k] < slices[k].end; };
+  unsigned first = 0;
+  while (first < L && !open(first)) ++first;
+  if (first == L) return;  // resumed already-finished shard
   const std::size_t iw = program_.input_words;
   const std::size_t lanes = lanes_;
   MetricsRegistry* const reg = options_.metrics;
   FaultInjector* const inj = options_.inject;
   const std::uint64_t t0 = reg ? shard_now_ns() : 0;
-  const std::size_t start = slot.next;
+  const std::size_t start = cur[first];
+  const std::size_t shard_begin = slices.front().begin;
+  const std::size_t shard_end = slices.back().end;
   // The span owns the batch.shard.ns / batch.shard.calls counters and the
   // trace event; it closes after account() runs, covering the whole shard.
   TraceSpan span(reg, "batch.shard");
   span.arg("shard", shard_index);
-  span.arg("begin", slot.begin);
-  span.arg("end", slot.end);
+  span.arg("begin", shard_begin);
+  span.arg("end", shard_end);
   span.arg("attempt", attempt);
 
   if (inj && inj->fire(FaultSite::AllocFail, shard_index, start, attempt)) {
@@ -188,122 +211,169 @@ void BatchRunner::run_shard(std::span<const Bit> inputs,
     throw std::bad_alloc();
   }
   KernelRunner<Word> runner(program_);
-  if (options_.native != nullptr) runner.set_kernel(options_.native->kernel<Word>());
+  if constexpr (L == 1) {
+    if (options_.native != nullptr) runner.set_kernel(options_.native->kernel<Word>());
+  }
   std::vector<Word> row(iw);
   const std::size_t cols = probes_.size();
   std::vector<unsigned char> gathered(lanes > 1 ? cols : 0);
-  // Input row for vectors [v, v + n): one vector's bits when scalar, else
-  // vector v + l's bit in lane l of every input word (pack_lanes; lanes past
-  // n stay 0).
-  const auto load = [&](std::size_t v, std::size_t n) {
+  // Input words of slice k's vectors [v, v + n): vector v's bits in word
+  // lane k, or in bit 0 when scalar, else vector v + l's bit in bit lane l
+  // of every input word (pack_lanes; lanes past n stay 0).
+  const auto load = [&](unsigned k, std::size_t v, std::size_t n) {
     const Bit* src = inputs.data() + v * iw;
-    if (lanes == 1) {
+    if constexpr (L > 1) {
+      for (std::size_t i = 0; i < iw; ++i) row[i].lane[k] = src[i] & 1u;
+    } else if (lanes == 1) {
       for (std::size_t i = 0; i < iw; ++i) row[i] = static_cast<Word>(src[i] & 1u);
-      return;
+    } else {
+      if (n < lanes) std::fill(row.begin(), row.end(), Word{0});
+      pack_lanes(src, iw, n, reinterpret_cast<unsigned char*>(row.data()),
+                 sizeof(Word));
     }
-    if (n < lanes) std::fill(row.begin(), row.end(), Word{0});
-    pack_lanes(src, iw, n, reinterpret_cast<unsigned char*>(row.data()),
-               sizeof(Word));
   };
-  // Output rows of vectors [v, v + n): lane l is vector v + l (probes of a
-  // lane-parallel program all read bit 0; unpack_lanes).
-  const auto store = [&](std::size_t v, std::size_t n) {
-    if (lanes == 1) {
-      Bit* dst = out.data() + v * cols;
+  // Output rows of slice k's vectors [v, v + n): each probe's bit in word
+  // lane k, or in its scalar word, or bit lane l for vector v + l (probes
+  // of a lane-parallel program all read bit 0; unpack_lanes).
+  const auto store = [&](unsigned k, std::size_t v, std::size_t n) {
+    Bit* dst = out.data() + v * cols;
+    if constexpr (L > 1) {
+      const std::span<const Word> arena = runner.arena();
+      for (std::size_t j = 0; j < cols; ++j) {
+        const ArenaProbe& pr = probes_[j];
+        dst[j] = static_cast<Bit>((arena[pr.word].lane[k] >> pr.bit) & 1u);
+      }
+    } else if (lanes == 1) {
       for (std::size_t j = 0; j < cols; ++j) {
         dst[j] = runner.bit(probes_[j].word, probes_[j].bit);
       }
-      return;
+    } else {
+      unpack_lanes(reinterpret_cast<const unsigned char*>(runner.arena().data()),
+                   sizeof(Word), probes_, n, gathered.data(), dst);
     }
-    unpack_lanes(reinterpret_cast<const unsigned char*>(runner.arena().data()),
-                 sizeof(Word), probes_, n, gathered.data(),
-                 out.data() + v * cols);
   };
-  bool seam = false;
-  if (start > slot.begin) {
-    // Resume: the checkpointed arena IS the retained state after vector
-    // start-1; restoring it replaces the seam replay.
-    runner.load_arena(slot.arena);
-  } else if (slot.begin > 0 && lanes == 1) {
-    // Seam replay: the predecessor shard's final vector re-establishes the
-    // retained state (previous-vector settled values); outputs discarded.
-    // Lane-parallel programs need none: no probe reads retained state.
-    load(slot.begin - 1, 1);
-    runner.run(row);
-    seam = true;
+
+  // Retained state at each open slice's start. A slice resumed mid-stream
+  // restores its checkpointed arena, the state after vector next-1. One
+  // that has not started replays its predecessor vector begin-1 in a seam
+  // pass shared by all such lanes, outputs discarded; lane-parallel
+  // programs need none, as no probe reads retained state. The seam pass
+  // also runs the other lanes, so those starting at vector 0 take the
+  // reset arena back afterwards.
+  std::uint64_t seams = 0;
+  for (unsigned k = 0; k < L; ++k) {
+    const ShardCheckpoint& sl = slices[k];
+    if (open(k) && cur[k] == sl.begin && sl.begin > 0 && lanes == 1) {
+      load(k, sl.begin - 1, 1);
+      ++seams;
+    }
+  }
+  if (seams != 0) runner.run(row);
+  for (unsigned k = 0; k < L; ++k) {
+    const ShardCheckpoint& sl = slices[k];
+    if (!open(k)) continue;
+    if (cur[k] > sl.begin) {
+      runner.load_arena(sl.arena, k);
+    } else if (L > 1 && seams != 0 && sl.begin == 0) {
+      runner.load_arena(reset_arena_, k);
+    }
   }
 
   CancelPoll poll(options_.cancel);
-  std::size_t v = start;
-  std::uint64_t passes = 0;
+  std::uint64_t passes = 0;   // payload passes: one per lane-vector in lanes
+  std::uint64_t settled = 0;  // payload vectors
+  std::uint64_t steps = 0;    // executor calls
   StopReason stop = StopReason::None;
   // Shared exit accounting so the fault-throwing paths count their executed
   // passes exactly like the clean path does.
   const auto account = [&] {
     if (!reg) return;
-    exec_.on_passes(passes, v - start);  // payload: thread-count invariant
-    if (seam) {
-      reg->counter("batch.seam_vectors").add(1);
-      reg->counter("batch.seam_ops").add(exec_.cost.ops);
+    exec_.on_passes(passes, settled);  // payload: thread-count invariant
+    if (seams != 0) {
+      reg->counter("batch.seam_vectors").add(seams);
+      reg->counter("batch.seam_ops").add(exec_.cost.ops * seams);
     }
     const std::uint64_t elapsed = shard_now_ns() - t0;
     reg->counter("batch.shards").add(1);
     reg->counter("batch.shard_max.ns").set_max(elapsed);
-    reg->counter("batch.shard_vectors_max").set_max(slot.end - slot.begin);
+    reg->counter("batch.shard_vectors_max").set_max(shard_end - shard_begin);
     // Wall-time distributions (DESIGN.md §5g): per-shard latency and the
     // amortized per-pass latency, from the two clock reads already taken.
     reg->histogram("batch.shard.us").record(elapsed / 1000);
-    if (passes != 0) reg->histogram("batch.pass.ns").record(elapsed / passes);
+    if (steps != 0) reg->histogram("batch.pass.ns").record(elapsed / steps);
   };
 
-  while (v < slot.end && stop == StopReason::None) {
-    // One pass settles the rest of v's lane group. Each of its vectors is
-    // polled and offered to the injector first, so a stop at vector u runs
-    // exactly the lanes before u — the same vectors a scalar run completes.
-    const std::size_t group_end = std::min(slot.end, (v / lanes + 1) * lanes);
-    std::size_t u = v;
-    for (; u < group_end; ++u) {
-      stop = poll.poll();  // one relaxed load + branch (dead branch when null)
-      if (inj != nullptr) {
-        if (stop == StopReason::None &&
-            inj->fire(FaultSite::DeadlineOverrun, shard_index, u, attempt)) {
-          metric_add(reg, "resil.injected", 1);
-          stop = StopReason::Deadline;
-        }
-        if (inj->fire(FaultSite::WorkerThrow, shard_index, u, attempt)) {
-          metric_add(reg, "resil.injected", 1);
-          account();
-          throw InjectedFault(FaultSite::WorkerThrow, shard_index, u, attempt);
-        }
-        if (inj->fire(FaultSite::ArenaCorrupt, shard_index, u, attempt)) {
-          metric_add(reg, "resil.injected", 1);
-          const std::span<Word> arena = runner.mutable_arena();
-          if (!arena.empty()) {
-            arena[u % arena.size()] ^= static_cast<Word>(0xdeadbeefdeadbeefull);
+  std::array<std::size_t, L> n{};  // vectors slice k settles this pass
+  while (stop == StopReason::None) {
+    // One pass settles the next vector of every open slice, or the rest of
+    // the one slice's lane group. Each vector is polled and offered to the
+    // injector first. A stop at vector u in a lane group runs exactly the
+    // lanes before u — the same vectors a scalar run completes; in word
+    // lanes it drops the whole pass, so every slice stops on a whole vector.
+    std::size_t batch = 0;
+    for (unsigned k = 0; k < L && stop == StopReason::None; ++k) {
+      n[k] = 0;
+      if (!open(k)) continue;
+      const std::size_t v = cur[k];
+      const std::size_t group_end = std::min<std::size_t>(
+          slices[k].end, (v / lanes + 1) * lanes);
+      std::size_t u = v;
+      for (; u < group_end; ++u) {
+        stop = poll.poll();  // one relaxed load + branch (dead branch when null)
+        if (inj != nullptr) {
+          if (stop == StopReason::None &&
+              inj->fire(FaultSite::DeadlineOverrun, shard_index, u, attempt)) {
+            metric_add(reg, "resil.injected", 1);
+            stop = StopReason::Deadline;
           }
-          account();
-          // The corruption is trapped immediately (standing in for a
-          // detected memory fault); the retry restarts from a fresh arena,
-          // so the shard's final outputs stay bit-identical.
-          throw InjectedFault(FaultSite::ArenaCorrupt, shard_index, u, attempt);
+          if (inj->fire(FaultSite::WorkerThrow, shard_index, u, attempt)) {
+            metric_add(reg, "resil.injected", 1);
+            account();
+            throw InjectedFault(FaultSite::WorkerThrow, shard_index, u, attempt);
+          }
+          if (inj->fire(FaultSite::ArenaCorrupt, shard_index, u, attempt)) {
+            metric_add(reg, "resil.injected", 1);
+            const std::span<Word> arena = runner.mutable_arena();
+            if (!arena.empty()) {
+              arena[u % arena.size()] ^= static_cast<Word>(0xdeadbeefdeadbeefull);
+            }
+            account();
+            // The corruption is trapped immediately (standing in for a
+            // detected memory fault); the retry restarts from a fresh arena,
+            // so the shard's final outputs stay bit-identical.
+            throw InjectedFault(FaultSite::ArenaCorrupt, shard_index, u, attempt);
+          }
         }
+        if (stop != StopReason::None) break;
       }
-      if (stop != StopReason::None) break;
+      n[k] = u - v;
+      batch += n[k];
     }
-    if (u == v) break;
-    load(v, u - v);
+    if (L > 1 && stop != StopReason::None) batch = 0;
+    if (batch == 0) break;
+    for (unsigned k = 0; k < L; ++k) {
+      if (n[k] != 0) load(k, cur[k], n[k]);
+    }
     runner.run(row);
-    store(v, u - v);
-    ++passes;
-    v = u;
+    for (unsigned k = 0; k < L; ++k) {
+      if (n[k] == 0) continue;
+      store(k, cur[k], n[k]);
+      cur[k] += n[k];
+    }
+    passes += L > 1 ? batch : 1;
+    settled += batch;
+    ++steps;
   }
 
-  slot.next = v;
   slot.stop = stop;
-  if (stop != StopReason::None && v > slot.begin) {
-    runner.save_arena(slot.arena);  // the one piece of cross-vector state
-  } else {
-    slot.arena.clear();
+  for (unsigned k = 0; k < L; ++k) {
+    ShardCheckpoint& sl = slices[k];
+    sl.next = cur[k];
+    if (stop != StopReason::None && sl.next > sl.begin && sl.next < sl.end) {
+      runner.save_arena(sl.arena, k);  // the one piece of cross-vector state
+    } else {
+      sl.arena.clear();
+    }
   }
   account();
 }
@@ -311,6 +381,10 @@ void BatchRunner::run_shard(std::span<const Bit> inputs,
 void BatchRunner::run_shard_any(std::span<const Bit> inputs,
                                 std::size_t shard_index, ShardSlot& slot,
                                 std::span<Bit> out, unsigned attempt) {
+  if (word_lanes_ > 1) {
+    run_shard<u32x8>(inputs, shard_index, slot, out, attempt);
+    return;
+  }
   switch (program_.word_bits) {
     case 64:
       run_shard<std::uint64_t>(inputs, shard_index, slot, out, attempt);
@@ -395,16 +469,26 @@ ResilientBatch BatchRunner::run_resilient(std::span<const Bit> inputs,
   }
 
   // Shards are runs of whole lane groups, so the pass count is
-  // ceil(num_vectors / lanes) at every thread count.
+  // ceil(num_vectors / lanes) at every thread count. Each shard is split as
+  // evenly into word_lanes_ contiguous slices (some empty when the shard is
+  // shorter); one slice when word lanes are off.
   const std::size_t groups = (num_vectors + lanes_ - 1) / lanes_;
   const std::size_t quot = groups / shards;
   const std::size_t rem = groups % shards;
   std::vector<ShardSlot> slots(shards);
   for (std::size_t s = 0; s < shards; ++s) {
-    slots[s].begin = (s * quot + std::min(s, rem)) * lanes_;
-    slots[s].end = std::min(
-        num_vectors, slots[s].begin + (quot + (s < rem ? 1 : 0)) * lanes_);
-    slots[s].next = slots[s].begin;
+    const std::size_t begin = (s * quot + std::min(s, rem)) * lanes_;
+    const std::size_t end =
+        std::min(num_vectors, begin + (quot + (s < rem ? 1 : 0)) * lanes_);
+    const std::size_t q = (end - begin) / word_lanes_;
+    const std::size_t r = (end - begin) % word_lanes_;
+    slots[s].slices.resize(word_lanes_);
+    for (std::size_t k = 0; k < word_lanes_; ++k) {
+      ShardCheckpoint& sl = slots[s].slices[k];
+      sl.begin = begin + k * q + std::min(k, r);
+      sl.end = sl.begin + q + (k < r ? 1 : 0);
+      sl.next = sl.begin;
+    }
   }
 
   if (resume != nullptr) {
@@ -419,23 +503,25 @@ ResilientBatch BatchRunner::run_resilient(std::span<const Bit> inputs,
     }
     if (resume->probe_count != probes_.size()) geometry("probe count differs");
     if (resume->num_vectors != num_vectors) geometry("vector count differs");
-    if (resume->shards.size() != shards) {
-      geometry("shard count differs (thread count or min_chunk changed)");
+    if (resume->shards.size() != shards * word_lanes_) {
+      geometry("shard count differs (thread count, min_chunk or word lanes "
+               "changed)");
     }
     const std::size_t cols = probes_.size();
-    for (std::size_t s = 0; s < shards; ++s) {
-      const ShardCheckpoint& sc = resume->shards[s];
-      if (sc.begin != slots[s].begin || sc.end != slots[s].end) {
-        geometry("shard " + std::to_string(s) + " boundaries differ");
+    for (std::size_t i = 0; i < resume->shards.size(); ++i) {
+      const ShardCheckpoint& sc = resume->shards[i];
+      ShardCheckpoint& sl = slots[i / word_lanes_].slices[i % word_lanes_];
+      if (sc.begin != sl.begin || sc.end != sl.end) {
+        geometry("shard " + std::to_string(i) + " boundaries differ");
       }
       if (sc.next > sc.begin && sc.next < sc.end &&
           sc.arena.size() != carrier_words(program_)) {
         throw CheckpointError(CheckpointError::Kind::Corrupt,
-                              "checkpoint shard " + std::to_string(s) +
+                              "checkpoint shard " + std::to_string(i) +
                                   " is mid-stream but carries no arena");
       }
-      slots[s].next = sc.next;
-      slots[s].arena = sc.arena;
+      sl.next = sc.next;
+      sl.arena = sc.arena;
       std::copy(sc.rows.begin(), sc.rows.end(),
                 result.values.begin() +
                     static_cast<std::ptrdiff_t>(sc.begin * cols));
@@ -484,7 +570,9 @@ ResilientBatch BatchRunner::run_resilient(std::span<const Bit> inputs,
   for (const ShardSlot& slot : slots) {
     result.retries += slot.retries;
     result.quarantined += slot.quarantined ? 1 : 0;
-    result.vectors_done += slot.next - slot.begin;
+    for (const ShardCheckpoint& sl : slot.slices) {
+      result.vectors_done += sl.next - sl.begin;
+    }
   }
 
   StopReason reason = StopReason::None;
@@ -504,26 +592,23 @@ ResilientBatch BatchRunner::run_resilient(std::span<const Bit> inputs,
   metric_add(reg, reason == StopReason::Cancelled ? "resil.cancelled"
                                                   : "resil.deadline",
              1);
-  // Assemble the resumable snapshot: per shard, the resume point, the
-  // settled arena (mid-stream shards only) and the completed output rows.
+  // Assemble the resumable snapshot: per slice, the resume point, the
+  // settled arena (mid-stream slices only) and the completed output rows.
   BatchCheckpoint& ck = result.checkpoint;
   ck.word_bits = static_cast<std::uint32_t>(program_.word_bits);
   ck.arena_words = program_.arena_words;
   ck.input_words = program_.input_words;
   ck.probe_count = static_cast<std::uint32_t>(probes_.size());
   ck.num_vectors = num_vectors;
-  ck.shards.reserve(shards);
+  ck.shards.reserve(shards * word_lanes_);
   const std::size_t cols = probes_.size();
   for (ShardSlot& slot : slots) {
-    ShardCheckpoint sc;
-    sc.begin = slot.begin;
-    sc.end = slot.end;
-    sc.next = slot.next;
-    sc.arena = std::move(slot.arena);
-    sc.rows.assign(
-        result.values.begin() + static_cast<std::ptrdiff_t>(slot.begin * cols),
-        result.values.begin() + static_cast<std::ptrdiff_t>(slot.next * cols));
-    ck.shards.push_back(std::move(sc));
+    for (ShardCheckpoint& sl : slot.slices) {
+      sl.rows.assign(
+          result.values.begin() + static_cast<std::ptrdiff_t>(sl.begin * cols),
+          result.values.begin() + static_cast<std::ptrdiff_t>(sl.next * cols));
+      ck.shards.push_back(std::move(sl));
+    }
   }
   metric_add(reg, "resil.checkpoints", 1);
   if (options_.diag) {

@@ -23,6 +23,18 @@
 // as lane bytes, which needs a little-endian host (asserted at compile
 // time in batch_runner.cpp).
 //
+// Word lanes: a program that settles one vector per pass (every parallel-
+// technique program; its bits stand for time, not vectors) applies the
+// seam rule inside one register instead. Each shard is split into 8
+// contiguous slices run in lockstep, slice k in lane k of a u32x8 arena
+// (ir/wide_word.h), each lane an independent 32-bit arena: one seam pass
+// replays every later slice's predecessor vector at once, then every pass
+// runs the unmodified program once over all 8 lanes. They engage, with no
+// option, when the program is 32-bit and not lane_parallel, no native
+// kernel is attached, width_available(256) holds, and the 8-lane arena
+// fits a per-thread byte cap (batch_runner.cpp). Stops and checkpoints act
+// per slice; payload counters count lane-vectors, as a scalar run would.
+//
 // Determinism guarantee: run() returns the same bits for every thread
 // count, equal to a sequential KernelRunner replay from the reset arena
 // (enforced by tests/batch_runner_test.cpp).
@@ -100,7 +112,7 @@ enum class RunStatus : std::uint8_t {
 /// Complete, `values` holds valid rows exactly for the vectors recorded in
 /// `checkpoint` (other rows are zero) and `checkpoint` resumes the run
 /// bit-identically under the same geometry (program, vector count, thread
-/// count, min_chunk).
+/// count, min_chunk, word lanes).
 struct ResilientBatch {
   RunStatus status = RunStatus::Complete;
   std::vector<Bit> values;
@@ -111,7 +123,7 @@ struct ResilientBatch {
 };
 
 /// Runs a vector stream through one compiled `Program` on a worker pool:
-/// one private KernelRunner arena per shard, seam replay at shard
+/// one private KernelRunner arena per shard, seam replay at shard and slice
 /// boundaries (or lane packing, see above), outputs merged in submission
 /// order. Works over any program the compiled engines produce (LCC, PC-set,
 /// parallel and its optimized variants) at any dispatched word size
@@ -163,18 +175,22 @@ class BatchRunner {
   /// covers lane groups [s*q + min(s, r), ...) for q, r = groups ÷ shards.
   [[nodiscard]] std::size_t shard_count(std::size_t num_vectors) const noexcept;
 
-  /// Vectors one executor pass settles: the program's word_bits when it is
-  /// lane_parallel (the lane-group size), else 1.
+  /// Vectors one executor pass settles per bit lane group: the program's
+  /// word_bits when it is lane_parallel (the lane-group size), else 1.
   [[nodiscard]] unsigned lanes_per_pass() const noexcept { return lanes_; }
 
+  /// Lane slices each shard runs in lockstep: kWordLanes<u32x8> (8) when
+  /// word lanes engage (see the header comment), else 1. A checkpoint
+  /// lists word_lanes() slices per shard.
+  [[nodiscard]] unsigned word_lanes() const noexcept { return word_lanes_; }
+
  private:
-  /// Mutable per-shard execution state (internal; becomes a ShardCheckpoint
-  /// when a run stops early).
+  /// Mutable per-shard execution state. Each of the shard's word_lanes()
+  /// slices is a contiguous run of vectors with its own resume point and
+  /// mid-stream arena, recorded as-is in a stopped run's checkpoint (its
+  /// `rows` stay empty until then).
   struct ShardSlot {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    std::size_t next = 0;             ///< first unexecuted vector
-    std::vector<std::uint64_t> arena; ///< settled arena when mid-stream
+    std::vector<ShardCheckpoint> slices;
     StopReason stop = StopReason::None;
     std::uint64_t retries = 0;
     bool quarantined = false;
@@ -200,6 +216,10 @@ class BatchRunner {
   std::optional<ThreadPool> pool_;
   ExecCounters exec_;  ///< payload-pass counters (disengaged without metrics)
   unsigned lanes_ = 1;  ///< vectors per pass (see lanes_per_pass)
+  unsigned word_lanes_ = 1;  ///< lockstep slices per shard (see word_lanes)
+  /// The reset 32-bit arena as a checkpoint carrier: a word-lane slice that
+  /// starts at vector 0 takes it back after its shard's seam pass.
+  std::vector<std::uint64_t> reset_arena_;
 };
 
 }  // namespace udsim

@@ -95,7 +95,7 @@ class KernelRunner {
   /// mismatch before WordSizeMismatch is thrown.
   explicit KernelRunner(const Program& program, Diagnostics* diag = nullptr)
       : program_(program) {
-    constexpr int kRunnerBits = static_cast<int>(sizeof(Word) * 8);
+    constexpr int kRunnerBits = static_cast<int>(kWordBits<Word>);
     if (program.word_bits != kRunnerBits) {
       const WordSizeMismatch err(program.word_bits, kRunnerBits);
       if (diag) {
@@ -109,7 +109,8 @@ class KernelRunner {
   }
 
   /// Simulate one pass: `in` is one word per primary input (one vector in
-  /// bit 0, or — for a lane_parallel program — one vector per bit lane).
+  /// bit 0, or — for a lane_parallel program — one vector per bit lane;
+  /// a u32x8 runner takes one vector per word lane, in each lane's bit 0).
   /// With a cancel token attached, a cancelled/deadline-expired token
   /// raises Cancelled *before* the pass starts, so the settled arena always
   /// reflects whole vectors. The pass runs the attached kernel (set_kernel)
@@ -154,26 +155,38 @@ class KernelRunner {
 
   /// Copy the settled arena into a word-size-independent uint64 carrier
   /// (the checkpoint representation; DESIGN.md §5f). Wide words occupy
-  /// kWordU64Lanes<Word> consecutive carrier entries, low lane first.
-  void save_arena(std::vector<std::uint64_t>& out) const {
-    constexpr std::size_t L = kWordU64Lanes<Word>;
-    out.resize(arena_.size() * L);
-    for (std::size_t i = 0; i < arena_.size(); ++i) {
-      for (std::size_t l = 0; l < L; ++l) {
-        out[i * L + l] = word_u64_lane(arena_[i], l);
+  /// kWordU64Lanes<Word> consecutive carrier entries, low lane first. A
+  /// word-lane runner (kWordLanes<Word> > 1) saves lane `lane`'s own 32-bit
+  /// arena, one entry per word, exactly as a uint32_t runner would.
+  void save_arena(std::vector<std::uint64_t>& out, unsigned lane = 0) const {
+    if constexpr (kWordLanes<Word> > 1) {
+      out.resize(arena_.size());
+      for (std::size_t i = 0; i < arena_.size(); ++i) out[i] = arena_[i].lane[lane];
+    } else {
+      constexpr std::size_t L = kWordU64Lanes<Word>;
+      out.resize(arena_.size() * L);
+      for (std::size_t i = 0; i < arena_.size(); ++i) {
+        for (std::size_t l = 0; l < L; ++l) {
+          out[i * L + l] = word_u64_lane(arena_[i], l);
+        }
       }
     }
   }
 
   /// Restore an arena previously captured with save_arena — the one piece
   /// of cross-vector state, so a restored runner continues bit-identically.
-  void load_arena(std::span<const std::uint64_t> saved) {
-    constexpr std::size_t L = kWordU64Lanes<Word>;
+  /// A word-lane runner restores lane `lane` only.
+  void load_arena(std::span<const std::uint64_t> saved, unsigned lane = 0) {
+    constexpr std::size_t L = kWordLanes<Word> > 1 ? 1 : kWordU64Lanes<Word>;
     if (saved.size() != arena_.size() * L) {
       throw std::invalid_argument("KernelRunner::load_arena: size mismatch");
     }
     for (std::size_t i = 0; i < arena_.size(); ++i) {
-      arena_[i] = word_from_u64_lanes<Word>(&saved[i * L]);
+      if constexpr (kWordLanes<Word> > 1) {
+        arena_[i].lane[lane] = static_cast<std::uint32_t>(saved[i]);
+      } else {
+        arena_[i] = word_from_u64_lanes<Word>(&saved[i * L]);
+      }
     }
   }
 

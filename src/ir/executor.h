@@ -35,10 +35,10 @@ template <class Word>
 void execute_switch(const Program& p, std::span<const Word> in, std::span<Word> arena) {
   static_assert(sizeof(Word) == 4 || sizeof(Word) == 8 || sizeof(Word) == 16 ||
                 sizeof(Word) == 32);
-  assert(static_cast<int>(sizeof(Word) * 8) == p.word_bits);
+  assert(static_cast<int>(kWordBits<Word>) == p.word_bits);
   assert(in.size() >= p.input_words);
   assert(arena.size() >= p.arena_words);
-  constexpr unsigned W = sizeof(Word) * 8;
+  constexpr unsigned W = kWordBits<Word>;
   Word* const w = arena.data();
   const Word* const iv = in.data();
   for (const Op& op : p.ops) {
@@ -124,10 +124,10 @@ template <class Word>
 void execute(const Program& p, std::span<const Word> in, std::span<Word> arena) {
   static_assert(sizeof(Word) == 4 || sizeof(Word) == 8 || sizeof(Word) == 16 ||
                 sizeof(Word) == 32);
-  assert(static_cast<int>(sizeof(Word) * 8) == p.word_bits);
+  assert(static_cast<int>(kWordBits<Word>) == p.word_bits);
   assert(in.size() >= p.input_words);
   assert(arena.size() >= p.arena_words);
-  constexpr unsigned W = sizeof(Word) * 8;
+  constexpr unsigned W = kWordBits<Word>;
   Word* const w = arena.data();
   const Word* const iv = in.data();
 
@@ -196,14 +196,16 @@ void execute(const Program& p, std::span<const Word> in, std::span<Word> arena) 
 #endif
 }
 
-// The hot u256 executors instantiate only in ir/kernels_w256.cpp — the TU
-// the build compiles with -mavx2 when the toolchain supports it — so no
-// other TU can inline 256-bit code it might not be allowed to run. Cold
-// u256 paths (initialize_arena, KernelRunner bookkeeping) are portable lane
-// loops and instantiate anywhere.
+// The hot u256 and u32x8 executors instantiate only in ir/kernels_w256.cpp
+// — the TU the build compiles with -mavx2 when the toolchain supports it —
+// so no other TU can inline 256-bit code it might not be allowed to run.
+// Cold 256-bit paths (initialize_arena, KernelRunner bookkeeping) are
+// portable lane loops and instantiate anywhere.
 extern template void execute_switch<u256>(const Program&, std::span<const u256>,
                                           std::span<u256>);
 extern template void execute<u256>(const Program&, std::span<const u256>,
                                    std::span<u256>);
+extern template void execute<u32x8>(const Program&, std::span<const u32x8>,
+                                    std::span<u32x8>);
 
 }  // namespace udsim

@@ -104,6 +104,73 @@ struct alignas(32) u256 {
   }
 };
 
+/// Eight independent 32-bit arena words in one 256-bit register: the word
+/// lanes of BatchRunner (DESIGN.md §5c). Lane k of every arena word belongs
+/// to lane k's own 32-bit arena, so every operator — shifts and subtraction
+/// included — acts lane by lane and nothing carries between lanes.
+/// Construction from an integer broadcasts its low 32 bits, so `Word{1}`,
+/// `Word{0} - x` and init_word_value mean in each lane exactly what they
+/// mean for uint32_t. Plain lane loops, like u256: the -mavx2 executor TU
+/// (ir/kernels_w256.cpp) vectorizes them to one instruction per op.
+struct alignas(32) u32x8 {
+  std::uint32_t lane[8];
+
+  constexpr u32x8() noexcept : lane{} {}
+  // NOLINTNEXTLINE(google-explicit-constructor): mirrors built-in widening
+  constexpr u32x8(std::uint64_t x) noexcept : lane{} {
+    for (std::uint32_t& l : lane) l = static_cast<std::uint32_t>(x);
+  }
+
+  friend constexpr bool operator==(const u32x8&, const u32x8&) noexcept = default;
+
+#define UDSIM_U32X8_BINARY(OP)                                                 \
+  friend constexpr u32x8 operator OP(const u32x8& a, const u32x8& b) noexcept { \
+    u32x8 r;                                                                   \
+    for (int i = 0; i < 8; ++i) r.lane[i] = a.lane[i] OP b.lane[i];            \
+    return r;                                                                  \
+  }                                                                            \
+  constexpr u32x8& operator OP##=(const u32x8& o) noexcept {                   \
+    for (int i = 0; i < 8; ++i) lane[i] OP## = o.lane[i];                      \
+    return *this;                                                              \
+  }
+  UDSIM_U32X8_BINARY(&)
+  UDSIM_U32X8_BINARY(|)
+  UDSIM_U32X8_BINARY(^)
+  UDSIM_U32X8_BINARY(-)
+#undef UDSIM_U32X8_BINARY
+
+  friend constexpr u32x8 operator~(const u32x8& x) noexcept {
+    u32x8 r;
+    for (int i = 0; i < 8; ++i) r.lane[i] = ~x.lane[i];
+    return r;
+  }
+  /// Shift count must be < 32 (the validator bounds every immediate).
+  friend constexpr u32x8 operator<<(const u32x8& x, unsigned s) noexcept {
+    u32x8 r;
+    for (int i = 0; i < 8; ++i) r.lane[i] = x.lane[i] << s;
+    return r;
+  }
+  friend constexpr u32x8 operator>>(const u32x8& x, unsigned s) noexcept {
+    u32x8 r;
+    for (int i = 0; i < 8; ++i) r.lane[i] = x.lane[i] >> s;
+    return r;
+  }
+};
+
+/// Bits of one arena word as the program sees it: the shift width of the
+/// executors and the program word size a runner accepts. A u32x8 is eight
+/// 32-bit words side by side.
+template <class Word>
+inline constexpr unsigned kWordBits = sizeof(Word) * 8;
+template <>
+inline constexpr unsigned kWordBits<u32x8> = 32;
+
+/// Independent arenas one runner word carries side by side (word lanes).
+template <class Word>
+inline constexpr unsigned kWordLanes = 1;
+template <>
+inline constexpr unsigned kWordLanes<u32x8> = 8;
+
 /// uint64 lanes one arena word occupies in the word-size-independent
 /// checkpoint carrier (KernelRunner::save_arena, resilience/checkpoint.h):
 /// one lane for 32/64-bit words, two for 128, four for 256.

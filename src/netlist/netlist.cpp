@@ -227,15 +227,9 @@ bool Netlist::is_acyclic() const {
   for (std::size_t i = 0; i < nets_.size(); ++i) {
     net_pending[i] = static_cast<std::uint32_t>(nets_[i].drivers.size());
   }
-  std::vector<std::vector<std::uint32_t>> waiting(nets_.size());
   for (std::size_t i = 0; i < gates_.size(); ++i) {
     std::uint32_t unresolved = 0;
-    for (NetId in : gates_[i].inputs) {
-      if (net_pending[in.value] != 0) {
-        ++unresolved;
-        waiting[in.value].push_back(static_cast<std::uint32_t>(i));
-      }
-    }
+    for (NetId in : gates_[i].inputs) unresolved += net_pending[in.value] != 0;
     gate_pending[i] = unresolved;
     if (unresolved == 0) ready.push_back(static_cast<std::uint32_t>(i));
   }
@@ -246,10 +240,11 @@ bool Netlist::is_acyclic() const {
     ++fired;
     const NetId out = gates_[gi].output;
     if (--net_pending[out.value] == 0) {
-      // `waiting` holds one entry per unresolved *pin*, so one decrement per
-      // entry is exact even when a gate lists this net on several pins.
-      for (std::uint32_t waiter : waiting[out.value]) {
-        if (--gate_pending[waiter] == 0) ready.push_back(waiter);
+      // `fanout` holds one entry per input *pin*, and every pin on a driven
+      // net was counted unresolved above, so one decrement per entry is
+      // exact even when a gate lists this net on several pins.
+      for (GateId waiter : nets_[out.value].fanout) {
+        if (--gate_pending[waiter.value] == 0) ready.push_back(waiter.value);
       }
     }
   }

@@ -237,6 +237,12 @@ TEST(MetricsInvariant, BatchCountersAreThreadCountInvariant) {
     const std::uint64_t lanes =
         packs ? static_cast<std::uint64_t>(sim->compiled_program()->word_bits) : 1;
     const std::uint64_t passes = (kVectors + lanes - 1) / lanes;
+    // The parallel program runs each shard as word_lanes() lockstep slices
+    // (8 on AVX2 hosts, else 1), each with its own seam replay.
+    const std::uint64_t word_lanes =
+        BatchRunner(*sim->compiled_program(), sim->output_probes()).word_lanes();
+    EXPECT_EQ(word_lanes, !packs && width_available(256) ? 8u : 1u)
+        << engine_name(kind);
 
     std::map<std::string, std::uint64_t> reference;
     for (unsigned threads : {1u, 2u, 5u}) {
@@ -258,8 +264,10 @@ TEST(MetricsInvariant, BatchCountersAreThreadCountInvariant) {
       const auto full = reg.snapshot();
       EXPECT_EQ(full.at("batch.runs"), 1u);
       if (threads == 5) {
+        // 5 shards of 18 vectors: every one of their 5 × word_lanes slices
+        // is non-empty, and all but the first start past vector 0.
         const std::uint64_t shards = packs ? passes : 5;
-        const std::uint64_t seams = packs ? 0 : shards - 1;
+        const std::uint64_t seams = packs ? 0 : shards * word_lanes - 1;
         EXPECT_EQ(full.at("batch.shards"), shards) << engine_name(kind);
         EXPECT_EQ(reg.counter("batch.seam_vectors").value(), seams);
         EXPECT_EQ(reg.counter("batch.seam_ops").value(), static_ops * seams);

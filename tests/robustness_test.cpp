@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <initializer_list>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "core/simulator.h"
 #include "core/thread_pool.h"
@@ -148,20 +150,35 @@ TEST(ThreadPoolExceptions, ManyFailuresStillSurfaceOnce) {
 }
 
 // Fail-fast: once any body throws, remaining unclaimed indices are skipped
-// (they still count toward the barrier but their bodies never run). With the
-// throwing index first in the queue, only the handful of bodies already in
-// flight on other workers can slip through before the flag is seen.
+// (they still count toward the barrier but their bodies never run). Every
+// body that runs throws, so each thread sets the flag before it can claim a
+// second index: at most one body per worker plus one on the caller, however
+// the threads are scheduled. Bodies after the first wait (bounded) until
+// the first throw, so the ones that run are in flight when it happens.
 TEST(ThreadPoolExceptions, FailFastSkipsUnclaimedIndices) {
   ThreadPool pool(4);
   const std::size_t n = 100000;
   std::atomic<std::size_t> processed{0};
-  EXPECT_THROW(pool.parallel_for(n,
-                                 [&](std::size_t i) {
-                                   if (i == 0) throw std::runtime_error("fail fast");
-                                   processed.fetch_add(1, std::memory_order_relaxed);
-                                 }),
-               std::runtime_error);
-  EXPECT_LT(processed.load(), n / 2)
+  std::atomic<bool> first{true};
+  std::atomic<bool> thrown{false};
+  EXPECT_THROW(
+      pool.parallel_for(n,
+                        [&](std::size_t) {
+                          processed.fetch_add(1, std::memory_order_relaxed);
+                          if (!first.exchange(false)) {
+                            const auto until = std::chrono::steady_clock::now() +
+                                               std::chrono::seconds(10);
+                            while (!thrown.load() &&
+                                   std::chrono::steady_clock::now() < until) {
+                              std::this_thread::yield();
+                            }
+                          }
+                          thrown.store(true);
+                          throw std::runtime_error("fail fast");
+                        }),
+      std::runtime_error);
+  EXPECT_GE(processed.load(), 1u);
+  EXPECT_LE(processed.load(), std::size_t{pool.threads()} + 1)
       << "fail-fast did not short-circuit the remaining indices";
   // The pool is still healthy afterwards.
   std::atomic<std::size_t> clean{0};
